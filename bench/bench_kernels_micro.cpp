@@ -1,6 +1,7 @@
 // Microbenchmarks of the tensor kernels underlying the training stack:
-// blocked GEMM, softmax, the embedding gather/scatter, and the FP16
-// compression-scaling casts.  Real wall-clock via google-benchmark.
+// blocked GEMM (square, and the skinny recurrent-forward shape),
+// softmax, the embedding gather/scatter, and the FP16 compression-
+// scaling casts.  Real wall-clock via google-benchmark.
 //
 // Kernels with a SIMD fast path also register a /scalar twin that pins
 // simd::Backend::kScalar for the timed region, so the vector speedup is
@@ -61,6 +62,58 @@ void BM_GemmTransposed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmTransposed)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// The RHN training forward's gemm: a batch-8 state times a 1792 x 1792
+/// recurrent matrix, cycling through 20 distinct matrices (257 MB, more
+/// than an L3) the way one timestep of the seed CharLm does, so B streams
+/// from DRAM.  Three ways: the row-major gemm, gemm_panels over
+/// panel-packed copies, and the pack_panels copy itself (which also
+/// writes as many bytes as it reads).  The counter is bytes of B read.
+enum class Skinny { kRowMajor, kPanels, kPack };
+
+void BM_GemmSkinny(benchmark::State& state, Skinny mode) {
+  constexpr Index kRows = 8;
+  constexpr Index kHidden = 1792;
+  constexpr std::size_t kMatrices = 20;
+  Rng rng(7);
+  const Tensor a = Tensor::randn({kRows, kHidden}, rng);
+  const Tensor b0 = Tensor::randn({kHidden, kHidden}, rng);
+  std::vector<Tensor> bs;
+  std::vector<Tensor> panels;
+  for (std::size_t i = 0; i < kMatrices; ++i) {
+    if (mode != Skinny::kPanels) bs.push_back(b0);
+    if (mode != Skinny::kRowMajor) {
+      panels.emplace_back(Tensor({kHidden, kHidden}));
+      pack_panels(b0, panels.back());
+    }
+  }
+  Tensor c({kRows, kHidden});
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kMatrices; ++i) {
+      switch (mode) {
+        case Skinny::kRowMajor:
+          gemm(a, false, bs[i], false, c);
+          break;
+        case Skinny::kPanels:
+          gemm_panels(a, panels[i], c);
+          break;
+        case Skinny::kPack:
+          pack_panels(bs[i], panels[i]);
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(c.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * kMatrices * b0.bytes()));
+}
+BENCHMARK_CAPTURE(BM_GemmSkinny, gemm, Skinny::kRowMajor)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmSkinny, gemm_panels, Skinny::kPanels)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmSkinny, pack_panels, Skinny::kPack)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state, simd::Backend backend) {
   BackendScope scope(backend);

@@ -10,8 +10,9 @@
 #         serially — they own /tmp rendezvous paths and kernel socket
 #         buffers, so sibling tests turn their timeouts into flakes
 #   serve the serving suites (single-server regressions, sharded
-#         routing, wire protocol, socket frontend) plus a short soak
-#         smoke with latency/rejection gates
+#         routing, wire protocol, socket frontend), 200 repeats of the
+#         submit/stop/wait stress suite, plus a short soak smoke with
+#         latency/rejection gates
 #   obs   distributed telemetry: the obs-labeled suites, a 4-process
 #         merged-trace collection with clock-alignment validation, and
 #         the <=2% overhead bar on the enabled-with-telemetry path
@@ -134,6 +135,9 @@ tier_serve() {
   # (single-server regressions, sharded routing, wire protocol, socket
   # frontend parity).
   ctest --test-dir build --output-on-failure -L serve
+  # The shutdown races (wait() during a stop(), double join, lost
+  # wakeups) show up once in hundreds of runs, not in one.
+  ./build/tests/test_serve_stress --gtest_repeat=200 --gtest_brief=1
   # Short soak smoke with the latency/rejection gates on.  At smoke
   # scale the tail bound is looser than the acceptance run's 5x: a few
   # hundred requests put only a handful of samples above p99, so a

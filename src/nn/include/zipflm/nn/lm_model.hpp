@@ -63,7 +63,10 @@ class LmModel {
 
   /// Forward + backward on this rank's batch.  candidates: the sampled-
   /// softmax candidate set (ignored by full-softmax models; must include
-  /// all batch targets otherwise).
+  /// all batch targets otherwise).  Call zero_grad() first: the step
+  /// defines the dense gradients, and gradients are not accumulated
+  /// across calls.  Until the step returns, some gradient buffers hold
+  /// scratch data (the RHN forward packs its weights into them).
   virtual void train_step_local(const Batch& batch,
                                 std::span<const Index> candidates,
                                 LmStepResult& out) = 0;
@@ -109,6 +112,11 @@ class LmModel {
   /// Rough per-token activation footprint (bytes) for the simulated-GPU
   /// memory accounting.
   virtual std::size_t activation_bytes_per_token() const = 0;
+  /// Prepare the dense gradients for the next train_step_local().
+  /// Clears only the gradients that the step adds into; those the step
+  /// overwrites, and the embedding tables' dense gradients (never
+  /// written: they travel sparsely in LmStepResult), are left as they
+  /// are.  Read gradients after a step, never after zero_grad() alone.
   virtual void zero_grad() = 0;
 
   /// The dropout mask stream, exposed so checkpoints can capture and

@@ -29,9 +29,17 @@ class RhnLayer {
   RhnLayer(const RhnConfig& config, Rng& rng);
 
   /// xs: T inputs [B x input_dim]; out: T outputs [B x hidden_dim].
-  void forward(const std::vector<Tensor>& xs, std::vector<Tensor>& out);
+  /// Caches what backward() needs.  A `train` forward over T >= 2 steps
+  /// borrows the recurrent matrices' gradient buffers as storage for
+  /// their panel-packed copies (see pack_panels), so between it and
+  /// backward() those gradients hold no gradient.  The outputs are
+  /// bitwise the same either way.
+  void forward(const std::vector<Tensor>& xs, std::vector<Tensor>& out,
+               bool train = false);
 
   /// dout -> parameter grads + dxs.  Must follow a matching forward().
+  /// Overwrites the weight-matrix gradients and adds into the bias
+  /// gradients.
   void backward(const std::vector<Tensor>& dout, std::vector<Tensor>& dxs);
 
   /// Incremental inference: advance B independent streams one timestep.
@@ -41,6 +49,8 @@ class RhnLayer {
   void step(const Tensor& x, Tensor& s) const;
 
   std::vector<Param*> params();
+  /// Clears the gradients backward() adds into (the biases); backward()
+  /// overwrites the rest.
   void zero_grad();
 
   /// Invoked (training thread) as each parameter's gradient finalizes

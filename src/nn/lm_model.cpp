@@ -250,7 +250,9 @@ std::size_t WordLm::activation_bytes_per_token() const {
 }
 
 void WordLm::zero_grad() {
-  for (Param* p : all_params()) p->zero_grad();
+  // Both tables' gradients travel as sparse rows in LmStepResult; their
+  // dense gradients are never written.
+  for (Param* p : dense_params()) p->zero_grad();
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ void CharLm::train_step_local(const Batch& batch,
     std::vector<Tensor> xs;
     to_time_major(flat_emb, b, t, xs);
     std::vector<Tensor> ys;
-    rhn_.forward(xs, ys);
+    rhn_.forward(xs, ys, /*train=*/true);
     to_batch_major(ys, b, t, h_all);
     output_dropout_.forward_train(h_all, dropout_rng_);
   }
@@ -428,7 +430,10 @@ std::size_t CharLm::activation_bytes_per_token() const {
 }
 
 void CharLm::zero_grad() {
-  for (Param* p : all_params()) p->zero_grad();
+  // The input table's gradient travels as LmStepResult::input_delta.
+  rhn_.zero_grad();
+  loss_.embedding().zero_grad();
+  loss_.bias().zero_grad();
 }
 
 }  // namespace zipflm

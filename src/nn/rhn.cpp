@@ -42,10 +42,16 @@ RhnLayer::RhnLayer(const RhnConfig& config, Rng& rng) : config_(config) {
 }
 
 void RhnLayer::forward(const std::vector<Tensor>& xs,
-                       std::vector<Tensor>& out) {
+                       std::vector<Tensor>& out, bool train) {
   ZIPFLM_CHECK(!xs.empty(), "RHN forward needs at least one step");
   const Index batch = xs.front().rows();
   const Index h = config_.hidden_dim;
+  // A training forward streams every recurrent matrix from column
+  // panels packed into the matrix's own gradient buffer, which holds
+  // nothing until backward() overwrites it.  Each matrix is packed just
+  // before its first use, so that first gemm reads the panels from
+  // cache.  One timestep cannot amortize the pack.
+  const bool panels = train && xs.size() > 1;
 
   cache_.clear();
   cache_.resize(xs.size());
@@ -67,8 +73,17 @@ void RhnLayer::forward(const std::vector<Tensor>& xs,
       auto& dp = depth_[static_cast<std::size_t>(l)];
       auto& mc = sc.micro[static_cast<std::size_t>(l)];
 
-      gemm(state, false, dp.rh.value, false, pre_h, 1.0f, 0.0f);
-      gemm(state, false, dp.rt.value, false, pre_t, 1.0f, 0.0f);
+      if (panels) {
+        if (ti == 0) {
+          pack_panels(dp.rh.value, dp.rh.grad);
+          pack_panels(dp.rt.value, dp.rt.grad);
+        }
+        gemm_panels(state, dp.rh.grad, pre_h);
+        gemm_panels(state, dp.rt.grad, pre_t);
+      } else {
+        gemm(state, false, dp.rh.value, false, pre_h, 1.0f, 0.0f);
+        gemm(state, false, dp.rt.value, false, pre_t, 1.0f, 0.0f);
+      }
       if (l == 0) {
         gemm(x, false, wh_.value, false, pre_h, 1.0f, 1.0f);
         gemm(x, false, wt_.value, false, pre_t, 1.0f, 1.0f);
@@ -195,6 +210,8 @@ void RhnLayer::backward(const std::vector<Tensor>& dout,
   // Pass 2 — weight gradients, finalized depth L-1 down to 0 and then
   // wt/wh: reverse-backprop order, so each depth's parameters can start
   // their bucketed allreduce while earlier depths are still computing.
+  // The matrix gradients are written with beta = 0: this overwrites
+  // the forward's panels, and zero_grad() need not clear them.
   const auto ready = [this](const Param& p) {
     if (param_ready_hook_) param_ready_hook_(p);
   };
@@ -205,15 +222,15 @@ void RhnLayer::backward(const std::vector<Tensor>& dout,
     ready(dp.bt);
     bias_grad(st.dzh, dp.bh.grad);
     ready(dp.bh);
-    gemm(st.s_prev, true, st.dzt, false, dp.rt.grad, 1.0f, 1.0f);
+    gemm(st.s_prev, true, st.dzt, false, dp.rt.grad, 1.0f, 0.0f);
     ready(dp.rt);
-    gemm(st.s_prev, true, st.dzh, false, dp.rh.grad, 1.0f, 1.0f);
+    gemm(st.s_prev, true, st.dzh, false, dp.rh.grad, 1.0f, 0.0f);
     ready(dp.rh);
   }
   BackwardStage& s0 = stage_.front();
-  gemm(x_stack_, true, s0.dzt, false, wt_.grad, 1.0f, 1.0f);
+  gemm(x_stack_, true, s0.dzt, false, wt_.grad, 1.0f, 0.0f);
   ready(wt_);
-  gemm(x_stack_, true, s0.dzh, false, wh_.grad, 1.0f, 1.0f);
+  gemm(x_stack_, true, s0.dzh, false, wh_.grad, 1.0f, 0.0f);
   ready(wh_);
 
   // Input gradients, batched over timesteps then split back out.
@@ -269,7 +286,12 @@ std::vector<Param*> RhnLayer::params() {
 }
 
 void RhnLayer::zero_grad() {
-  for (Param* p : params()) p->zero_grad();
+  // backward() overwrites the matrix gradients; only the biases
+  // accumulate.
+  for (auto& dp : depth_) {
+    dp.bh.zero_grad();
+    dp.bt.zero_grad();
+  }
 }
 
 double RhnLayer::flops_per_token() const noexcept {

@@ -141,10 +141,10 @@ class Server {
   bool poll(std::uint64_t request_id, Response& out);
 
   /// Block until `request_id` reaches a terminal state.  Requires a
-  /// started server (or an already-resolved request).  If the server
-  /// stops before the request finishes, returns a FailedShutdown
-  /// response instead of hanging forever; an evicted or re-waited
-  /// response returns Expired instead of blocking.
+  /// started or stopping server (or an already-resolved request).  If
+  /// the server stops before the request finishes, returns a
+  /// FailedShutdown response instead of hanging forever; an evicted or
+  /// re-waited response returns Expired instead of blocking.
   Response wait(std::uint64_t request_id);
 
   /// Block until no request is queued or in flight, or the server

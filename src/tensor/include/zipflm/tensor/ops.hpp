@@ -17,6 +17,23 @@ namespace zipflm {
 void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha = 1.0f, float beta = 0.0f);
 
+/// Column width of one pack_panels() panel: one cache line of floats.
+inline constexpr Index kPanelWidth = 16;
+
+/// Copy B [k x n] into `panels` (same shape, not aliasing B) as
+/// ceil(n / kPanelWidth) column panels stored one after another: the
+/// panel of columns [j0, j0 + w) is a contiguous row-major [k x w]
+/// block starting at element j0 * k.
+void pack_panels(const Tensor& b, Tensor& panels);
+
+/// C = A * B, with B given as pack_panels() left it.  Every output
+/// element performs the same ascending-k adds as gemm(a, false, b,
+/// false, c), so the results are bitwise equal; a row tile reads each
+/// panel as one sequential stream instead of gathering ldb-strided row
+/// slices, which is what lets a skinny A (the recurrent forward's
+/// batch-row state) run near the host's read bandwidth.
+void gemm_panels(const Tensor& a, const Tensor& panels, Tensor& c);
+
 /// y += alpha * x (same total size; shape-agnostic).
 void axpy(float alpha, const Tensor& x, Tensor& y);
 

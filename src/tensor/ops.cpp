@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -29,6 +30,12 @@ constexpr Index kBlockN = 64;
 // where the previous 256 x 128 tile (128 KiB) was re-streamed from L2
 // once per row tile.
 constexpr Index kBlockK = 64;
+
+// How far (in floats: 8 KiB) the panel kernel prefetches down its B
+// stream.  The hardware prefetchers alone left the batch-8 recurrent
+// forward at about half the host's read bandwidth; 4-8 KiB ahead
+// brought it to three quarters.
+constexpr Index kStreamAhead = 2048;
 
 // Elementwise sweeps hand the pool chunks of whole elements; any chunk
 // boundary gives the same bits, so only dispatch overhead matters.
@@ -66,20 +73,32 @@ GemmDims validate_gemm(const Tensor& a, bool trans_a, const Tensor& b,
 /// so skipping it keeps results identical while shedding a scalar
 /// multiply per (row, k) step of the inner loop.  TA lifts the operand
 /// layout choice to compile time so the inner loop carries no branch.
-template <class V, Index RT, Index CP, bool A1, bool TA>
+///
+/// load_c == false starts the accumulators at +0.0f instead of loading
+/// C: exactly the value a cleared C would load, so a beta == 0 gemm
+/// writes C without zeroing it and reading the zeros back.  SA marks B
+/// as one contiguous stream (a packed panel) to prefetch ahead of.
+template <class V, Index RT, Index CP, bool A1, bool TA, bool SA = false>
 inline void gemm_tile_nt(const float* a, Index lda, const float* b, Index ldb,
                          float* c, Index ldc, float alpha, Index i, Index j,
-                         Index k) {
+                         Index k, bool load_c) {
   using R = typename V::Reg;
   constexpr Index W = static_cast<Index>(V::kWidth);
   R acc[RT][CP];
   for (Index r = 0; r < RT; ++r) {
     for (Index p = 0; p < CP; ++p) {
-      acc[r][p] = V::load(c + (i + r) * ldc + j + p * W);
+      acc[r][p] = load_c ? V::load(c + (i + r) * ldc + j + p * W) : V::zero();
     }
   }
   for (Index kk = 0; kk < k; ++kk) {
     const float* brow = b + kk * ldb + j;
+    if constexpr (SA) {
+      // Integer arithmetic: the hinted address may lie past B's end,
+      // where a pointer may not be formed.
+      __builtin_prefetch(reinterpret_cast<const void*>(
+          reinterpret_cast<std::uintptr_t>(brow) +
+          static_cast<std::uintptr_t>(kStreamAhead) * sizeof(float)));
+    }
     for (Index r = 0; r < RT; ++r) {
       float av = TA ? a[kk * lda + i + r] : a[(i + r) * lda + kk];
       if constexpr (!A1) av *= alpha;
@@ -96,40 +115,63 @@ inline void gemm_tile_nt(const float* a, Index lda, const float* b, Index ldb,
   }
 }
 
-template <class V, Index RT, bool A1, bool TA>
+template <class V, Index RT, bool A1, bool TA, bool SA = false>
 inline void gemm_rows_nt(const float* a, Index lda, const float* b, Index ldb,
                          float* c, Index ldc, float alpha, Index i, Index j0,
-                         Index j1, Index k) {
+                         Index j1, Index k, bool load_c) {
   constexpr Index W = static_cast<Index>(V::kWidth);
   Index j = j0;
   for (; j + 2 * W <= j1; j += 2 * W) {
-    gemm_tile_nt<V, RT, 2, A1, TA>(a, lda, b, ldb, c, ldc, alpha, i, j, k);
+    gemm_tile_nt<V, RT, 2, A1, TA, SA>(a, lda, b, ldb, c, ldc, alpha, i, j,
+                                       k, load_c);
   }
   for (; j + W <= j1; j += W) {
-    gemm_tile_nt<V, RT, 1, A1, TA>(a, lda, b, ldb, c, ldc, alpha, i, j, k);
+    gemm_tile_nt<V, RT, 1, A1, TA, SA>(a, lda, b, ldb, c, ldc, alpha, i, j,
+                                       k, load_c);
   }
   for (; j < j1; ++j) {
-    gemm_tile_nt<simd::ScalarOps, RT, 1, A1, TA>(a, lda, b, ldb, c, ldc,
-                                                 alpha, i, j, k);
+    gemm_tile_nt<simd::ScalarOps, RT, 1, A1, TA, SA>(a, lda, b, ldb, c, ldc,
+                                                     alpha, i, j, k, load_c);
+  }
+}
+
+/// Rows [i0, i1) of C's columns [0, tw) (from c_off) against a
+/// contiguous B tile: kc rows of width tw.  The main row tile covers 8
+/// rows so every B element loaded feeds 8 outputs; 8 is also the exact
+/// row count of the recurrent forward gemms.
+template <class V, bool A1, bool TA, bool SA = false>
+void gemm_chunk_nt(const float* a_off, Index lda, const float* tile, Index tw,
+                   float* c_off, Index ldc, float alpha, Index i0, Index i1,
+                   Index kc, bool load_c) {
+  Index i = i0;
+  for (; i + 8 <= i1; i += 8) {
+    gemm_rows_nt<V, 8, A1, TA, SA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
+                                   0, tw, kc, load_c);
+  }
+  for (; i + 4 <= i1; i += 4) {
+    gemm_rows_nt<V, 4, A1, TA, SA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
+                                   0, tw, kc, load_c);
+  }
+  for (; i < i1; ++i) {
+    gemm_rows_nt<V, 1, A1, TA, SA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
+                                   0, tw, kc, load_c);
   }
 }
 
 /// One (rows x columns) output block, with B consumed through packed
 /// k-chunks.  Accumulators spill to C at chunk boundaries — an exact
 /// store/reload — so the per-element sum is still one ascending-k
-/// sequence, bitwise identical to the unchunked kernel.  The main row
-/// tile covers 8 rows so every packed B element loaded from L1 feeds 8
-/// outputs; 8 is also the exact row count of the recurrent forward
-/// gemms, which previously split into two 4-row passes.
+/// sequence, bitwise identical to the unchunked kernel.  `fresh` (beta
+/// == 0) starts the first chunk's accumulators at zero instead of
+/// loading C.
 template <class V, bool A1, bool TA>
 void gemm_block_nt(const float* a, Index lda, const float* b, Index ldb,
                    float* c, Index ldc, float alpha, Index i0, Index i1,
-                   Index j0, Index j1, Index k) {
+                   Index j0, Index j1, Index k, bool fresh) {
   const Index tw = j1 - j0;
   thread_local std::vector<float> pack;
   pack.resize(static_cast<std::size_t>(kBlockK) * static_cast<std::size_t>(tw));
   float* tile = pack.data();
-  float* c_off = c + j0;
   for (Index k0 = 0; k0 < k; k0 += kBlockK) {
     const Index kc = std::min(kBlockK, k - k0);
     for (Index kk = 0; kk < kc; ++kk) {
@@ -137,19 +179,25 @@ void gemm_block_nt(const float* a, Index lda, const float* b, Index ldb,
                   static_cast<std::size_t>(tw) * sizeof(float));
     }
     const float* a_off = TA ? a + k0 * lda : a + k0;
-    Index i = i0;
-    for (; i + 8 <= i1; i += 8) {
-      gemm_rows_nt<V, 8, A1, TA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
-                                 0, tw, kc);
-    }
-    for (; i + 4 <= i1; i += 4) {
-      gemm_rows_nt<V, 4, A1, TA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
-                                 0, tw, kc);
-    }
-    for (; i < i1; ++i) {
-      gemm_rows_nt<V, 1, A1, TA>(a_off, lda, tile, tw, c_off, ldc, alpha, i,
-                                 0, tw, kc);
-    }
+    gemm_chunk_nt<V, A1, TA>(a_off, lda, tile, tw, c + j0, ldc, alpha, i0, i1,
+                             kc, !fresh || k0 > 0);
+  }
+}
+
+/// The same block read from a panel-packed B (see pack_panels).  Each
+/// panel is one contiguous [k x w] stream, so a row tile runs the whole
+/// k range against it with the accumulators held in registers — the
+/// chunked kernel's spills are exact store/reloads, so the bits match —
+/// and prefetches kStreamAhead floats down the stream.
+template <class V>
+void gemm_block_panel(const float* a, Index lda, const float* panels,
+                      float* c, Index ldc, Index i0, Index i1, Index j0,
+                      Index j1, Index k) {
+  for (Index jp = j0; jp < j1; jp += kPanelWidth) {
+    const Index w = std::min(kPanelWidth, j1 - jp);
+    gemm_chunk_nt<V, true, false, true>(a, lda, panels + jp * k, w, c + jp,
+                                        ldc, 1.0f, i0, i1, k,
+                                        /*load_c=*/false);
   }
 }
 
@@ -249,12 +297,16 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   const auto [m, n, k] = validate_gemm(a, trans_a, b, trans_b, c);
   ZIPFLM_ASSERT(&a != &c && &b != &c, "gemm output must not alias inputs");
 
+  const bool empty = m == 0 || n == 0 || k == 0 || alpha == 0.0f;
+  // The non-transposed-B kernels start beta == 0 accumulators at +0.0f
+  // in registers, so C is written once instead of cleared and re-read.
+  const bool fresh = beta == 0.0f && !trans_b && !empty;
   if (beta == 0.0f) {
-    c.zero();
+    if (!fresh) c.zero();
   } else if (beta != 1.0f) {
     scale(c, beta);
   }
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
+  if (empty) return;
 
   const float* ap = a.data().data();
   const float* bp = b.data().data();
@@ -280,7 +332,8 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           const auto block_nt = [&](auto v, auto a1, auto ta) {
             gemm_block_nt<typename decltype(v)::type, decltype(a1)::value,
                           decltype(ta)::value>(ap, lda, bp, ldb, cp, ldc,
-                                               alpha, i0, i1, j0, j1, k);
+                                               alpha, i0, i1, j0, j1, k,
+                                               fresh);
           };
           const auto with_flags = [&](auto v) {
             if (alpha == 1.0f) {
@@ -311,6 +364,91 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
         } else {
           gemm_panel_generic(a, trans_a, b, trans_b, c, alpha, i0, i1, j0, j1,
                              k);
+        }
+      },
+      /*grain=*/1);
+}
+
+void pack_panels(const Tensor& b, Tensor& panels) {
+  ZIPFLM_CHECK(b.rank() == 2 && panels.rank() == 2 &&
+                   panels.rows() == b.rows() && panels.cols() == b.cols(),
+               "pack_panels needs a destination of B's shape");
+  ZIPFLM_ASSERT(&b != &panels, "pack_panels output must not alias B");
+  const Index k = b.rows();
+  const Index n = b.cols();
+  const float* src = b.data().data();
+  float* dst = panels.data().data();
+  // One task per (kBlockK rows x kPackCols columns) tile: it reads
+  // kPackCols / kPanelWidth lines per source row and appends one line
+  // to each of that many panels, few enough streams on both sides for
+  // the hardware prefetchers to follow.  The source rows, 7 KiB apart
+  // in a 1792-wide matrix, are prefetched kPackAhead rows ahead.
+  constexpr Index kPackCols = 16 * kPanelWidth;
+  constexpr Index kPackAhead = 8;
+  const Index col_tiles = (n + kPackCols - 1) / kPackCols;
+  const Index row_tiles = (k + kBlockK - 1) / kBlockK;
+  ThreadPool::global().parallel_for(
+      static_cast<std::size_t>(row_tiles * col_tiles),
+      [&, k, n](std::size_t t) {
+        const Index c0 = static_cast<Index>(t) % col_tiles * kPackCols;
+        const Index c1 = std::min(n, c0 + kPackCols);
+        const Index r0 = static_cast<Index>(t) / col_tiles * kBlockK;
+        const Index r1 = std::min(k, r0 + kBlockK);
+        for (Index r = r0; r < r1; ++r) {
+          if (r + kPackAhead < k) {
+            const float* ahead = src + (r + kPackAhead) * n;
+            for (Index j0 = c0; j0 < c1; j0 += kPanelWidth) {
+              __builtin_prefetch(ahead + j0);
+            }
+          }
+          for (Index j0 = c0; j0 < c1; j0 += kPanelWidth) {
+            const Index w = std::min(kPanelWidth, n - j0);
+            float* out = dst + j0 * k + r * w;
+            const float* in = src + r * n + j0;
+            // A constant-size copy inlines to a couple of vector moves.
+            if (w == kPanelWidth) {
+              std::memcpy(out, in, kPanelWidth * sizeof(float));
+            } else {
+              std::memcpy(out, in,
+                          static_cast<std::size_t>(w) * sizeof(float));
+            }
+          }
+        }
+      },
+      /*grain=*/1);
+}
+
+void gemm_panels(const Tensor& a, const Tensor& panels, Tensor& c) {
+  const auto [m, n, k] = validate_gemm(a, false, panels, false, c);
+  ZIPFLM_ASSERT(&a != &c && &panels != &c,
+                "gemm_panels output must not alias inputs");
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    c.zero();
+    return;
+  }
+  const float* ap = a.data().data();
+  const float* bp = panels.data().data();
+  float* cp = c.data().data();
+  const Index lda = a.cols();
+  const Index ldc = c.cols();
+  const bool native = simd::active_backend() == simd::Backend::kNative;
+  // gemm's task grid: a column block spans kBlockN / kPanelWidth panels.
+  const Index row_blocks = (m + kBlockM - 1) / kBlockM;
+  const Index col_blocks = (n + kBlockN - 1) / kBlockN;
+  ThreadPool::global().parallel_for(
+      static_cast<std::size_t>(row_blocks * col_blocks),
+      [&, m, n, k](std::size_t t) {
+        const Index i0 = static_cast<Index>(t) / col_blocks * kBlockM;
+        const Index i1 = std::min(m, i0 + kBlockM);
+        const Index j0 = static_cast<Index>(t) % col_blocks * kBlockN;
+        const Index j1 = std::min(n, j0 + kBlockN);
+        if (native) {
+          gemm_block_panel<simd::NativeOps>(ap, lda, bp, cp, ldc, i0, i1, j0,
+                                            j1, k);
+        } else {
+          gemm_block_panel<simd::ScalarOps>(ap, lda, bp, cp, ldc, i0, i1, j0,
+                                            j1, k);
         }
       },
       /*grain=*/1);

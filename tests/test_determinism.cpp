@@ -9,6 +9,7 @@
 // reproducible across machines and ZIPFLM_THREADS settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -118,6 +119,61 @@ TEST_P(GemmDeterminism, BytesStableAcrossThreadsAndBackends) {
     Tensor out = c0;
     gemm(a, c.ta, b, c.tb, out, c.alpha, c.beta);
     return tensor_bytes(out);
+  });
+}
+
+// gemm_panels reads B from pack_panels' layout and must equal the
+// row-major gemm bit for bit; both beta == 0 paths must write C without
+// reading it (C starts as NaN here).  n is a multiple of neither the
+// 64-column task nor the 16-column panel, and k spans several chunks.
+class GemmPanelsDeterminism : public ::testing::TestWithParam<Index> {};
+
+INSTANTIATE_TEST_SUITE_P(Rows, GemmPanelsDeterminism,
+                         ::testing::Values(1, 3, 8, 17));
+
+TEST_P(GemmPanelsDeterminism, PanelsEqualRowMajorGemmBitwise) {
+  const Index m = GetParam();
+  constexpr Index n = 300;
+  constexpr Index k = 150;
+  Rng rng(4321);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor at = Tensor::randn({k, m}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const Tensor nan_c = Tensor::full({m, n}, std::nanf(""));
+
+  Tensor panels({k, n});
+  pack_panels(b, panels);
+  for (Index r = 0; r < k; ++r) {
+    for (Index j = 0; j < n; ++j) {
+      const Index j0 = j / kPanelWidth * kPanelWidth;
+      const Index w = std::min(kPanelWidth, n - j0);
+      ASSERT_EQ(panels.data()[static_cast<std::size_t>(j0 * k + r * w +
+                                                       (j - j0))],
+                b(r, j))
+          << "panel layout at (" << r << ", " << j << ")";
+    }
+  }
+
+  expect_identical_bytes([&] {
+    Tensor accumulated({m, n});  // beta = 1 onto zeros: the old path
+    gemm(a, false, b, false, accumulated, 1.0f, 1.0f);
+    Tensor fresh = nan_c;
+    gemm(a, false, b, false, fresh);
+    Tensor streamed = nan_c;
+    Tensor repacked({k, n});
+    pack_panels(b, repacked);
+    gemm_panels(a, repacked, streamed);
+    EXPECT_EQ(tensor_bytes(fresh), tensor_bytes(accumulated));
+    EXPECT_EQ(tensor_bytes(streamed), tensor_bytes(accumulated));
+    // The transposed-A weight-gradient shape of the RHN backward.
+    Tensor grad_acc({m, n});
+    gemm(at, true, b, false, grad_acc, 1.0f, 1.0f);
+    Tensor grad_fresh = nan_c;
+    gemm(at, true, b, false, grad_fresh);
+    EXPECT_EQ(tensor_bytes(grad_fresh), tensor_bytes(grad_acc));
+    std::vector<unsigned char> out = tensor_bytes(streamed);
+    append_bytes(out, grad_fresh.data().data(), grad_fresh.bytes());
+    return out;
   });
 }
 

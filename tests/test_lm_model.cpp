@@ -157,6 +157,119 @@ TEST(CharLmModel, AdamStepsReduceTrainingLoss) {
   EXPECT_LT(res.loss, first * 0.9f);
 }
 
+// Wide enough (H = 70 > one 16-column panel) that the CharLm training
+// forward packs its recurrent matrices into their gradient buffers.
+CharLm make_packing_char_lm() {
+  CharLmConfig cfg;
+  cfg.vocab = 30;
+  cfg.embed_dim = 6;
+  cfg.hidden_dim = 70;
+  cfg.depth = 2;
+  cfg.seed = 9;
+  return CharLm(cfg);
+}
+
+/// Runs `steps` Adam steps on `model`, clearing gradients with
+/// zero_grad() or, for the reference, by zeroing every gradient buffer;
+/// returns the losses.  The dense gradients after each step are
+/// appended to `grads`.
+template <class Model>
+std::vector<float> adam_steps(Model& model, const Batch& batch,
+                              std::span<const Index> candidates,
+                              bool clear_everything, int steps,
+                              std::vector<Tensor>& grads) {
+  Adam::Config cfg;
+  cfg.lr = 0.01f;
+  Adam adam(cfg);
+  std::vector<float> losses;
+  LmStepResult res;
+  for (int step = 0; step < steps; ++step) {
+    if (clear_everything) {
+      for (Param* p : model.all_params()) p->zero_grad();
+    } else {
+      model.zero_grad();
+    }
+    model.train_step_local(batch, candidates, res);
+    losses.push_back(res.loss);
+    for (Param* p : model.dense_params()) grads.push_back(p->grad);
+    adam.begin_step();
+    auto dense = model.dense_params();
+    adam.step(dense);
+    std::vector<Index> uids;
+    Tensor ureduced;
+    local_reduce_by_word(res.input_ids, res.input_delta, uids, ureduced);
+    adam.step_rows(model.input_embedding_param(), ureduced, uids);
+    if (Param* out = model.sampled_output_param(); out != nullptr) {
+      adam.step_rows(*out, res.output_grad.rows, res.output_grad.ids);
+    }
+  }
+  return losses;
+}
+
+template <class Model>
+void expect_zero_grad_matches_full_clear(Model a, Model b,
+                                         const Batch& batch,
+                                         std::span<const Index> candidates) {
+  std::vector<Tensor> grads_a;
+  std::vector<Tensor> grads_b;
+  const auto losses_a = adam_steps(a, batch, candidates, false, 3, grads_a);
+  const auto losses_b = adam_steps(b, batch, candidates, true, 3, grads_b);
+  EXPECT_EQ(losses_a, losses_b);
+  ASSERT_EQ(grads_a.size(), grads_b.size());
+  for (std::size_t i = 0; i < grads_a.size(); ++i) {
+    EXPECT_TRUE(grads_a[i] == grads_b[i]) << "dense gradient " << i;
+  }
+  const auto pa = a.all_params();
+  const auto pb = b.all_params();
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_TRUE(pa[i]->value == pb[i]->value) << pa[i]->name;
+  }
+}
+
+TEST(CharLmModel, PackedTrainingStepsMatchFullyClearedSteps) {
+  const BigramCorpus corpus(30, 5, 11);
+  const auto data = corpus.generate(1000, 0);
+  const Batch batch = make_batch(data, 3, 6);
+  expect_zero_grad_matches_full_clear(make_packing_char_lm(),
+                                      make_packing_char_lm(), batch, {});
+}
+
+TEST(WordLmModel, ZeroGradOfDenseParamsMatchesFullClear) {
+  const BigramCorpus corpus(40, 6, 12);
+  const auto data = corpus.generate(1000, 0);
+  const Batch batch = make_batch(data, 3, 6);
+  const auto candidates = all_ids(40);
+  expect_zero_grad_matches_full_clear(make_word_lm(), make_word_lm(), batch,
+                                      candidates);
+}
+
+TEST(CharLmModel, InferenceIsUnchangedAfterATrainingForward) {
+  auto trained = make_packing_char_lm();
+  auto fresh = make_packing_char_lm();
+  const BigramCorpus corpus(30, 5, 13);
+  const auto data = corpus.generate(1000, 0);
+  const Batch batch = make_batch(data, 3, 6);
+  LmStepResult res;
+  trained.zero_grad();
+  trained.train_step_local(batch, {}, res);  // packs; no optimizer step
+
+  EXPECT_EQ(trained.eval_loss(batch), fresh.eval_loss(batch));
+  const std::vector<Index> context = {1, 4, 2, 7};
+  EXPECT_TRUE(trained.next_token_logits(context) ==
+              fresh.next_token_logits(context));
+  RecurrentState st_trained = trained.initial_state(2);
+  RecurrentState st_fresh = fresh.initial_state(2);
+  Tensor logits_trained;
+  Tensor logits_fresh;
+  for (Index t = 0; t < 3; ++t) {
+    const std::vector<Index> tokens = {t, t + 5};
+    trained.step(tokens, st_trained, logits_trained);
+    fresh.step(tokens, st_fresh, logits_fresh);
+    EXPECT_TRUE(logits_trained == logits_fresh) << "step " << t;
+    EXPECT_TRUE(st_trained.slots.front() == st_fresh.slots.front());
+  }
+}
+
 TEST(LmModel, IdenticalSeedsGiveIdenticalModels) {
   auto a = make_word_lm();
   auto b = make_word_lm();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "zipflm/nn/gradcheck.hpp"
+#include "zipflm/nn/optimizer.hpp"
 #include "zipflm/nn/rhn.hpp"
 
 namespace zipflm {
@@ -71,6 +72,64 @@ TEST_P(RhnGradCheck, ParameterAndInputGradientsMatchFiniteDifferences) {
                                    3e-3);
     EXPECT_TRUE(result.passed(4e-2))
         << "input step " << t << " rel err " << result.max_rel_error;
+  }
+}
+
+// The training forward streams the recurrent matrices from panels
+// packed into their gradient buffers; the row-major forward must give
+// the same bits everywhere: outputs, every gradient (even though
+// zero_grad() leaves the matrix gradients dirty), input gradients, and
+// the weights after Adam, over several steps.  H = 70 spans four full
+// 16-column panels plus a 6-column tail.
+TEST(RhnPanels, TrainingForwardMatchesRowMajorBitwise) {
+  const RhnConfig cfg{5, 70, 3};
+  Rng init_a(23);
+  Rng init_b(23);
+  RhnLayer packed(cfg, init_a);
+  RhnLayer reference(cfg, init_b);
+  Adam::Config acfg;
+  acfg.lr = 0.01f;
+  Adam adam_packed(acfg);
+  Adam adam_reference(acfg);
+  Rng data(29);
+  for (int step = 0; step < 3; ++step) {
+    std::vector<Tensor> xs;
+    for (int t = 0; t < 4; ++t) xs.push_back(Tensor::randn({3, 5}, data));
+
+    packed.zero_grad();
+    std::vector<Tensor> ys_packed;
+    packed.forward(xs, ys_packed, /*train=*/true);
+    for (Param* p : reference.params()) p->zero_grad();
+    std::vector<Tensor> ys_reference;
+    reference.forward(xs, ys_reference);
+    ASSERT_EQ(ys_packed.size(), ys_reference.size());
+    for (std::size_t t = 0; t < ys_packed.size(); ++t) {
+      EXPECT_TRUE(ys_packed[t] == ys_reference[t]) << "step " << step;
+    }
+    EXPECT_EQ(sum_sq(ys_packed), sum_sq(ys_reference)) << "step " << step;
+
+    std::vector<Tensor> dxs_packed;
+    packed.backward(loss_grads(ys_packed), dxs_packed);
+    std::vector<Tensor> dxs_reference;
+    reference.backward(loss_grads(ys_reference), dxs_reference);
+    for (std::size_t t = 0; t < dxs_packed.size(); ++t) {
+      EXPECT_TRUE(dxs_packed[t] == dxs_reference[t]) << "step " << step;
+    }
+    const auto pp = packed.params();
+    const auto pr = reference.params();
+    for (std::size_t i = 0; i < pp.size(); ++i) {
+      EXPECT_TRUE(pp[i]->grad == pr[i]->grad)
+          << pp[i]->name << " gradient, step " << step;
+    }
+
+    adam_packed.begin_step();
+    adam_packed.step(pp);
+    adam_reference.begin_step();
+    adam_reference.step(pr);
+    for (std::size_t i = 0; i < pp.size(); ++i) {
+      EXPECT_TRUE(pp[i]->value == pr[i]->value)
+          << pp[i]->name << " weights, step " << step;
+    }
   }
 }
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -26,6 +29,74 @@ std::unique_ptr<CharLm> small_char(std::uint64_t seed = 3) {
   cfg.seed = seed;
   return std::make_unique<CharLm>(cfg);
 }
+
+/// Forwards to a real model, but holds every step() until open() — so a
+/// test can keep the scheduler inside a batch step while it drives
+/// stop() and submit() around it.
+class GatedModel final : public LmModel {
+ public:
+  explicit GatedModel(LmModel& inner) : inner_(inner) {}
+
+  /// Blocks until the scheduler is held inside step().
+  void wait_entered() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void open() {
+    std::lock_guard lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  void step(std::span<const Index> tokens, RecurrentState& state,
+            Tensor& logits) override {
+    {
+      std::unique_lock lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    inner_.step(tokens, state, logits);
+  }
+  RecurrentState initial_state(Index batch) const override {
+    return inner_.initial_state(batch);
+  }
+  void train_step_local(const Batch& batch, std::span<const Index> candidates,
+                        LmStepResult& out) override {
+    inner_.train_step_local(batch, candidates, out);
+  }
+  float eval_loss(const Batch& batch) override {
+    return inner_.eval_loss(batch);
+  }
+  Tensor next_token_logits(std::span<const Index> context) override {
+    return inner_.next_token_logits(context);
+  }
+  std::vector<Param*> dense_params() override {
+    return inner_.dense_params();
+  }
+  std::vector<Param*> all_params() override { return inner_.all_params(); }
+  Param& input_embedding_param() override {
+    return inner_.input_embedding_param();
+  }
+  Param* sampled_output_param() override {
+    return inner_.sampled_output_param();
+  }
+  Index vocab() const override { return inner_.vocab(); }
+  Index embed_dim() const override { return inner_.embed_dim(); }
+  double flops_per_token() const override { return inner_.flops_per_token(); }
+  std::size_t activation_bytes_per_token() const override {
+    return inner_.activation_bytes_per_token();
+  }
+  void zero_grad() override { inner_.zero_grad(); }
+  Rng& dropout_rng() override { return inner_.dropout_rng(); }
+
+ private:
+  LmModel& inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
 
 Request session_request(std::uint64_t session, std::size_t new_tokens,
                         std::uint64_t seed) {
@@ -103,6 +174,52 @@ TEST(ServeStress, ConcurrentSubmitAndStopResolvesEveryAcceptedRequest) {
   EXPECT_EQ(counters.requests_completed + counters.requests_failed +
                 parked.load(),
             counters.requests_admitted);
+}
+
+// Regression: a request admitted while a draining stop() is in
+// progress (started_ already false) must be waitable.  wait() used to
+// throw for it, and stop() then resolved the same request, so a client
+// counted it as parked while the server counted it as finished.
+TEST(ServeStress, WaitOnRequestAdmittedDuringDrainingStop) {
+  auto inner = small_char();
+  GatedModel model(*inner);
+  ServeOptions options;
+  options.max_batch = 1;  // the late request cannot join the held batch
+  options.drain_on_stop = true;
+  Server server(model, options);
+  server.start();
+
+  const Admission first = server.submit(session_request(1, 4, 1));
+  ASSERT_TRUE(first.accepted);
+  model.wait_entered();  // the scheduler is held inside a step
+
+  // stop() marks the server stopping, then blocks joining the held
+  // scheduler.  The sleep gives it time to get there; were it late, the
+  // submit below would land on a started server and prove nothing, but
+  // could not fail.
+  std::thread stopper([&] { server.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Admission late = server.submit(session_request(2, 4, 2));
+  ASSERT_TRUE(late.accepted);
+
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    model.open();
+  });
+  Response r;
+  EXPECT_NO_THROW(r = server.wait(late.request_id));
+  opener.join();
+  stopper.join();
+
+  EXPECT_EQ(r.request_id, late.request_id);
+  EXPECT_EQ(r.status, ResponseStatus::Ok);  // a drain finishes it
+  Response first_done;
+  ASSERT_TRUE(server.poll(first.request_id, first_done));
+  EXPECT_EQ(first_done.status, ResponseStatus::Ok);
+  const ServeCounters counters = server.counters();
+  EXPECT_EQ(counters.requests_admitted, 2u);
+  EXPECT_EQ(counters.requests_completed, 2u);
+  EXPECT_EQ(counters.requests_failed, 0u);
 }
 
 TEST(ServeStress, DrainStopFinishesInFlightWork) {

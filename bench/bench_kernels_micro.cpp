@@ -66,10 +66,12 @@ BENCHMARK(BM_GemmTransposed)->Arg(256)->Unit(benchmark::kMillisecond);
 /// The RHN training forward's gemm: a batch-8 state times a 1792 x 1792
 /// recurrent matrix, cycling through 20 distinct matrices (257 MB, more
 /// than an L3) the way one timestep of the seed CharLm does, so B streams
-/// from DRAM.  Three ways: the row-major gemm, gemm_panels over
-/// panel-packed copies, and the pack_panels copy itself (which also
-/// writes as many bytes as it reads).  The counter is bytes of B read.
-enum class Skinny { kRowMajor, kPanels, kPack };
+/// from DRAM.  Four ways: the row-major gemm, gemm_panels over
+/// panel-packed copies, the pack_panels copy itself (which also writes
+/// as many bytes as it reads), and the backward's transposed-B d-state
+/// gemm (C += A * B^T, as in pass 1 of RhnLayer::backward).  The
+/// counter is bytes of B read.
+enum class Skinny { kRowMajor, kPanels, kPack, kTransposed };
 
 void BM_GemmSkinny(benchmark::State& state, Skinny mode) {
   constexpr Index kRows = 8;
@@ -100,6 +102,9 @@ void BM_GemmSkinny(benchmark::State& state, Skinny mode) {
         case Skinny::kPack:
           pack_panels(bs[i], panels[i]);
           break;
+        case Skinny::kTransposed:
+          gemm(a, false, bs[i], true, c, 1.0f, 1.0f);
+          break;
       }
     }
     benchmark::DoNotOptimize(c.data().data());
@@ -113,6 +118,8 @@ BENCHMARK_CAPTURE(BM_GemmSkinny, gemm, Skinny::kRowMajor)
 BENCHMARK_CAPTURE(BM_GemmSkinny, gemm_panels, Skinny::kPanels)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(BM_GemmSkinny, pack_panels, Skinny::kPack)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmSkinny, gemm_tb, Skinny::kTransposed)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state, simd::Backend backend) {

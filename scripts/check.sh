@@ -5,7 +5,8 @@
 #   1b    fault injection + exact resume, serially (real collective
 #         timeouts blur when the tests share cores with the suite)
 #   1c    observability: trace export end-to-end + the <2% disabled-
-#         instrumentation overhead bar
+#         instrumentation overhead bar, plus a smoke run (no timing
+#         gate) of the skinny-gemm kernel micro-benchmarks
 #   net   socket-transport suites (real kernel sockets, forked ranks),
 #         serially — they own /tmp rendezvous paths and kernel socket
 #         buffers, so sibling tests turn their timeouts into flakes
@@ -105,6 +106,11 @@ EOF
     '{ pct = $2 + 0
        if (pct > 2.0) { printf "obs overhead %.3f%% exceeds 2%% bar\n", pct; exit 1 }
        printf "obs overhead %.3f%% within 2%% bar\n", pct }'
+
+  # Smoke run of the skinny-gemm kernels EXPERIMENTS.md's kernel table
+  # cites: they must run to completion; the timings gate nothing.
+  ./build/bench/bench_kernels_micro --benchmark_filter=GemmSkinny \
+    --benchmark_min_time=0.05
 }
 
 tier_net() {

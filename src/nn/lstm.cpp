@@ -120,6 +120,7 @@ void LstmLayer::forward(const std::vector<Tensor>& xs,
 
 void LstmLayer::backward(const std::vector<Tensor>& dout,
                          std::vector<Tensor>& dxs) {
+  ZIPFLM_CHECK(!cache_.empty(), "backward needs a cached forward");
   ZIPFLM_CHECK(dout.size() == cache_.size(),
                "backward step count must match the cached forward");
   const Index batch = cache_.front().x.rows();

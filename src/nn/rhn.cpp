@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "zipflm/obs/trace.hpp"
 #include "zipflm/support/thread_pool.hpp"
 #include "zipflm/tensor/ops.hpp"
 #include "zipflm/tensor/simd.hpp"
@@ -12,6 +13,16 @@ namespace zipflm {
 namespace {
 float glorot(Index fan_in, Index fan_out) {
   return std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
+}
+
+/// Bytes of recurrent weights one sweep over `steps` timesteps reads:
+/// both [H x H] matrices of every micro-layer, once per timestep.  The
+/// forward and backward pass-1 spans carry it, so a trace shows the
+/// bandwidth each sweep reached.
+double recurrent_bytes(const RhnConfig& c, std::size_t steps) {
+  const double h = static_cast<double>(c.hidden_dim);
+  return static_cast<double>(steps) * static_cast<double>(c.depth) * 2.0 *
+         h * h * sizeof(float);
 }
 }  // namespace
 
@@ -44,6 +55,9 @@ RhnLayer::RhnLayer(const RhnConfig& config, Rng& rng) : config_(config) {
 void RhnLayer::forward(const std::vector<Tensor>& xs,
                        std::vector<Tensor>& out, bool train) {
   ZIPFLM_CHECK(!xs.empty(), "RHN forward needs at least one step");
+  obs::SpanScope span("nn.rhn.forward", "steps",
+                      static_cast<double>(xs.size()), "weight_bytes",
+                      recurrent_bytes(config_, xs.size()));
   const Index batch = xs.front().rows();
   const Index h = config_.hidden_dim;
   // A training forward streams every recurrent matrix from column
@@ -117,6 +131,7 @@ void RhnLayer::forward(const std::vector<Tensor>& xs,
 
 void RhnLayer::backward(const std::vector<Tensor>& dout,
                         std::vector<Tensor>& dxs) {
+  ZIPFLM_CHECK(!cache_.empty(), "backward needs a cached forward");
   ZIPFLM_CHECK(dout.size() == cache_.size(),
                "backward step count must match the cached forward");
   const Index batch = cache_.front().x.rows();
@@ -155,63 +170,76 @@ void RhnLayer::backward(const std::vector<Tensor>& dout,
   // pass 2 turns each stack into one k = T·B weight-gradient gemm
   // instead of T separate rank-B updates, which divides the read-
   // modify-write traffic over the [H x H] gradient blocks by T.
-  for (std::size_t ti = steps; ti-- > 0;) {
-    const StepCache& sc = cache_[ti];
-    Tensor ds = dout[ti];
-    ZIPFLM_CHECK(ds.rows() == batch && ds.cols() == h,
-                 "backward output-gradient shape mismatch");
-    axpy(1.0f, ds_next, ds);
+  {
+    obs::SpanScope bptt_span("nn.rhn.bptt_state", "steps",
+                             static_cast<double>(steps), "weight_bytes",
+                             recurrent_bytes(config_, steps));
+    for (std::size_t ti = steps; ti-- > 0;) {
+      const StepCache& sc = cache_[ti];
+      Tensor ds = dout[ti];
+      ZIPFLM_CHECK(ds.rows() == batch && ds.cols() == h,
+                   "backward output-gradient shape mismatch");
+      axpy(1.0f, ds_next, ds);
 
-    for (Index l = config_.depth; l-- > 0;) {
-      auto& dp = depth_[static_cast<std::size_t>(l)];
-      const auto& mc = sc.micro[static_cast<std::size_t>(l)];
-      // State entering this micro-layer.
-      const Tensor& s_prev =
-          l > 0 ? sc.micro[static_cast<std::size_t>(l - 1)].s
-                : (ti > 0 ? cache_[ti - 1].micro.back().s : zero_s);
+      for (Index l = config_.depth; l-- > 0;) {
+        auto& dp = depth_[static_cast<std::size_t>(l)];
+        const auto& mc = sc.micro[static_cast<std::size_t>(l)];
+        // State entering this micro-layer.
+        const Tensor& s_prev =
+            l > 0 ? sc.micro[static_cast<std::size_t>(l - 1)].s
+                  : (ti > 0 ? cache_[ti - 1].micro.back().s : zero_s);
 
-      Tensor ds_prev({batch, h});
-      const std::size_t cells =
-          static_cast<std::size_t>(batch) * static_cast<std::size_t>(h);
-      const float* hv = mc.h.data().data();
-      const float* tv = mc.t.data().data();
-      const float* sp = s_prev.data().data();
-      const float* dsr = ds.data().data();
-      float* dzhp = dzh.data().data();
-      float* dztp = dzt.data().data();
-      float* dspp = ds_prev.data().data();
-      ThreadPool::global().parallel_chunks(
-          cells, [&](std::size_t cb, std::size_t ce) {
-            simd::rhn_cell_grad(hv + cb, tv + cb, sp + cb, dsr + cb,
-                                dzhp + cb, dztp + cb, dspp + cb, ce - cb);
-          });
+        Tensor ds_prev({batch, h});
+        const std::size_t cells =
+            static_cast<std::size_t>(batch) * static_cast<std::size_t>(h);
+        const float* hv = mc.h.data().data();
+        const float* tv = mc.t.data().data();
+        const float* sp = s_prev.data().data();
+        const float* dsr = ds.data().data();
+        float* dzhp = dzh.data().data();
+        float* dztp = dzt.data().data();
+        float* dspp = ds_prev.data().data();
+        ThreadPool::global().parallel_chunks(
+            cells, [&](std::size_t cb, std::size_t ce) {
+              simd::rhn_cell_grad(hv + cb, tv + cb, sp + cb, dsr + cb,
+                                  dzhp + cb, dztp + cb, dspp + cb, ce - cb);
+            });
 
-      BackwardStage& st = stage_[static_cast<std::size_t>(l)];
-      const std::size_t off = ti * row_floats;
-      std::memcpy(st.dzh.data().data() + off, dzhp,
-                  row_floats * sizeof(float));
-      std::memcpy(st.dzt.data().data() + off, dztp,
-                  row_floats * sizeof(float));
-      std::memcpy(st.s_prev.data().data() + off, sp,
-                  row_floats * sizeof(float));
+        BackwardStage& st = stage_[static_cast<std::size_t>(l)];
+        const std::size_t off = ti * row_floats;
+        std::memcpy(st.dzh.data().data() + off, dzhp,
+                    row_floats * sizeof(float));
+        std::memcpy(st.dzt.data().data() + off, dztp,
+                    row_floats * sizeof(float));
+        std::memcpy(st.s_prev.data().data() + off, sp,
+                    row_floats * sizeof(float));
 
-      gemm(dzh, false, dp.rh.value, true, ds_prev, 1.0f, 1.0f);
-      gemm(dzt, false, dp.rt.value, true, ds_prev, 1.0f, 1.0f);
+        gemm(dzh, false, dp.rh.value, true, ds_prev, 1.0f, 1.0f);
+        gemm(dzt, false, dp.rt.value, true, ds_prev, 1.0f, 1.0f);
 
-      if (l == 0) {
-        std::memcpy(x_stack_.data().data() + ti * x_floats,
-                    sc.x.data().data(), x_floats * sizeof(float));
+        if (l == 0) {
+          std::memcpy(x_stack_.data().data() + ti * x_floats,
+                      sc.x.data().data(), x_floats * sizeof(float));
+        }
+        ds = std::move(ds_prev);
       }
-      ds = std::move(ds_prev);
+      ds_next = std::move(ds);
     }
-    ds_next = std::move(ds);
   }
 
   // Pass 2 — weight gradients, finalized depth L-1 down to 0 and then
   // wt/wh: reverse-backprop order, so each depth's parameters can start
   // their bucketed allreduce while earlier depths are still computing.
   // The matrix gradients are written with beta = 0: this overwrites
-  // the forward's panels, and zero_grad() need not clear them.
+  // the forward's panels, and zero_grad() need not clear them.  The
+  // span covers the input gradients too; its FLOP count is all of it.
+  const double hd = static_cast<double>(h);
+  const double macs_per_row =
+      2.0 * static_cast<double>(config_.depth) * hd * hd +
+      4.0 * static_cast<double>(d_in) * hd;
+  obs::SpanScope grads_span("nn.rhn.weight_grads", "steps",
+                            static_cast<double>(steps), "flop",
+                            2.0 * static_cast<double>(tb) * macs_per_row);
   const auto ready = [this](const Param& p) {
     if (param_ready_hook_) param_ready_hook_(p);
   };

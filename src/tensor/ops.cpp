@@ -206,48 +206,73 @@ void gemm_block_panel(const float* a, Index lda, const float* panels,
 // contiguous rows, accumulated with the fixed 8-lane interleave of
 // simd::dot_span — the k order per element is a property of the
 // element, not of tiling or ISA, so any backend produces the same bits.
-// j is the outer loop so B row j is streamed from memory once and then
-// served from L1 for every A row of the block (m is small in the
-// backward d-state gemms; a transpose-packing variant measured slower
-// because the pack cost cannot amortize over so few rows).
+// The block is walked in register tiles of up to 8 A rows x 4 B rows.
+// Per 8-element k-block a tile loads each of its B and A vectors once
+// and feeds them to 32 independent accumulator chains, so the loop is
+// bound by loads instead of waiting on add latency, and a B quad comes
+// from memory once for all 8 A rows (m is 8 in the RHN backward's
+// d-state gemms).  The next quad is prefetched while this one streams.
+// A transpose-packing variant measured slower: the pack cost cannot
+// amortize over so few rows.
 // ---------------------------------------------------------------------------
 
-/// JT B-rows at a time sharing each A load: per 8-element block the A
-/// vector is fetched once and multiplied into JT independent Acc8
-/// accumulators, one per output column.  Each column's accumulator
-/// performs the exact lane sequence dot_span performs for that (a, b)
-/// pair — same 8-lane interleave, same tail fold, same combine tree —
-/// so the result is bit-for-bit what the one-column kernel produced
-/// while the A row is streamed JT times less often.
-template <class V, Index JT>
-inline void gemm_dots_tb(const float* arow, const float* b, Index ldb,
-                         float* cout, Index ldc_unused, float alpha,
-                         std::size_t k) {
-  (void)ldc_unused;
-  simd::Acc8<V> acc[JT];
-  for (Index t = 0; t < JT; ++t) acc[t].fill(0.0f);
+/// IR A rows x JT B rows: c[r * ldc + t] += alpha * dot(a row r, b row
+/// t).  Each (r, t) pair has its own Acc8 and performs the exact lane
+/// sequence dot_span performs for that pair — same 8-lane interleave,
+/// same tail fold, same combine tree — so the bits do not depend on
+/// the tile shape.
+template <class V, Index IR, Index JT>
+inline void gemm_dots_blk(const float* a, Index lda, const float* b,
+                          Index ldb, float* c, Index ldc, float alpha,
+                          std::size_t k) {
+  const auto sa = static_cast<std::size_t>(lda);
+  const auto sb = static_cast<std::size_t>(ldb);
+  simd::Acc8<V> acc[IR][JT];
+  for (Index r = 0; r < IR; ++r) {
+    for (Index t = 0; t < JT; ++t) acc[r][t].fill(0.0f);
+  }
   const std::size_t k8 = k & ~(simd::kAccLanes - 1);
+  // The pragmas unroll the tile loops fully, so that -O2 builds too
+  // keep the accumulators in registers.
   for (std::size_t kk = 0; kk < k8; kk += simd::kAccLanes) {
+    // The next tile's B rows, by integer arithmetic: past the last
+    // quad they lie beyond B's end, where a pointer may not be formed.
+#pragma GCC unroll 8
+    for (Index t = 0; t < JT; ++t) {
+      __builtin_prefetch(reinterpret_cast<const void*>(
+          reinterpret_cast<std::uintptr_t>(b) +
+          ((static_cast<std::size_t>(JT + t) * sb + kk) * sizeof(float))));
+    }
+#pragma GCC unroll 8
     for (std::size_t p = 0; p < simd::Acc8<V>::kPacks; ++p) {
-      const typename V::Reg av = V::load(arow + kk + p * V::kWidth);
+      const std::size_t off = kk + p * V::kWidth;
+      typename V::Reg bv[JT];
+#pragma GCC unroll 8
       for (Index t = 0; t < JT; ++t) {
-        acc[t].acc[p] = V::add(
-            acc[t].acc[p],
-            V::mul(av, V::load(b + static_cast<std::size_t>(t) *
-                                       static_cast<std::size_t>(ldb) +
-                               kk + p * V::kWidth)));
+        bv[t] = V::load(b + static_cast<std::size_t>(t) * sb + off);
+      }
+#pragma GCC unroll 8
+      for (Index r = 0; r < IR; ++r) {
+        const typename V::Reg av =
+            V::load(a + static_cast<std::size_t>(r) * sa + off);
+#pragma GCC unroll 8
+        for (Index t = 0; t < JT; ++t) {
+          acc[r][t].acc[p] = V::add(acc[r][t].acc[p], V::mul(av, bv[t]));
+        }
       }
     }
   }
-  for (Index t = 0; t < JT; ++t) {
-    float lanes[simd::kAccLanes];
-    acc[t].store(lanes);
-    const float* brow =
-        b + static_cast<std::size_t>(t) * static_cast<std::size_t>(ldb);
-    for (std::size_t j = 0; j < k - k8; ++j) {
-      lanes[j] += arow[k8 + j] * brow[k8 + j];
+  for (Index r = 0; r < IR; ++r) {
+    const float* arow = a + static_cast<std::size_t>(r) * sa;
+    for (Index t = 0; t < JT; ++t) {
+      const float* brow = b + static_cast<std::size_t>(t) * sb;
+      float lanes[simd::kAccLanes];
+      acc[r][t].store(lanes);
+      for (std::size_t j = 0; j < k - k8; ++j) {
+        lanes[j] += arow[k8 + j] * brow[k8 + j];
+      }
+      c[r * ldc + t] += alpha * simd::combine_sum8(lanes);
     }
-    cout[t] += alpha * simd::combine_sum8(lanes);
   }
 }
 
@@ -255,19 +280,30 @@ template <class V>
 void gemm_panel_tb(const float* a, Index lda, const float* b, Index ldb,
                    float* c, Index ldc, float alpha, Index i0, Index i1,
                    Index j0, Index j1, Index k) {
+  constexpr Index kQuad = 4;
+  const auto kn = static_cast<std::size_t>(k);
   Index j = j0;
-  for (; j + 4 <= j1; j += 4) {
-    const float* brows = b + j * ldb;
-    for (Index i = i0; i < i1; ++i) {
-      gemm_dots_tb<V, 4>(a + i * lda, brows, ldb, c + i * ldc + j, ldc, alpha,
-                         static_cast<std::size_t>(k));
+  for (; j + kQuad <= j1; j += kQuad) {
+    const float* bq = b + j * ldb;
+    Index i = i0;
+    for (; i + 8 <= i1; i += 8) {
+      gemm_dots_blk<V, 8, kQuad>(a + i * lda, lda, bq, ldb, c + i * ldc + j,
+                                 ldc, alpha, kn);
+    }
+    if (i + 4 <= i1) {
+      gemm_dots_blk<V, 4, kQuad>(a + i * lda, lda, bq, ldb, c + i * ldc + j,
+                                 ldc, alpha, kn);
+      i += 4;
+    }
+    for (; i < i1; ++i) {
+      gemm_dots_blk<V, 1, kQuad>(a + i * lda, lda, bq, ldb, c + i * ldc + j,
+                                 ldc, alpha, kn);
     }
   }
   for (; j < j1; ++j) {
     const float* brow = b + j * ldb;
     for (Index i = i0; i < i1; ++i) {
-      c[i * ldc + j] += alpha * simd::dot_span<V>(a + i * lda, brow,
-                                                  static_cast<std::size_t>(k));
+      c[i * ldc + j] += alpha * simd::dot_span<V>(a + i * lda, brow, kn);
     }
   }
 }

@@ -122,6 +122,58 @@ TEST_P(GemmDeterminism, BytesStableAcrossThreadsAndBackends) {
   });
 }
 
+// The transposed-B gemm against a serial reference: every element must
+// be C scaled by beta, plus alpha times dot_span's lane sequence for its
+// (A row, B row) pair, whichever register tile computed it.  The m
+// values cover the 8-row and 4-row tiles and the 1-3 row remainder, the
+// n values the 4-column quads and the column tail, the k values the
+// 8-lane blocks and the tail fold into lanes [0, k mod 8).
+TEST(GemmTransposedBReference, EveryElementIsDotSpanBitwise) {
+  struct Case {
+    Index m, n, k;
+    float alpha, beta;
+    Tensor a, b, c0, ref;
+  };
+  std::vector<Case> cases;
+  Rng rng(2024);
+  for (const Index m : {1, 3, 4, 5, 7, 8, 9, 12, 17, 33}) {
+    for (const Index n : {1, 3, 4, 5, 67}) {
+      for (const Index k : {1, 7, 8, 9, 129}) {
+        for (const float alpha : {1.0f, 1.5f}) {
+          for (const float beta : {0.0f, 1.0f}) {
+            Case cs{m, n, k, alpha, beta, Tensor::randn({m, k}, rng),
+                    Tensor::randn({n, k}, rng), Tensor::randn({m, n}, rng),
+                    Tensor({m, n})};
+            for (Index i = 0; i < m; ++i) {
+              for (Index j = 0; j < n; ++j) {
+                const float dot = simd::dot_span<simd::ScalarOps>(
+                    &cs.a(i, 0), &cs.b(j, 0), static_cast<std::size_t>(k));
+                const float scaled = beta == 0.0f ? 0.0f : beta * cs.c0(i, j);
+                cs.ref(i, j) = scaled + alpha * dot;
+              }
+            }
+            cases.push_back(std::move(cs));
+          }
+        }
+      }
+    }
+  }
+  for (const KernelConfig& cfg : all_configs()) {
+    ThreadPool::set_global_threads(cfg.threads);
+    simd::set_backend(cfg.backend);
+    for (const Case& cs : cases) {
+      Tensor out = cs.c0;
+      gemm(cs.a, false, cs.b, true, out, cs.alpha, cs.beta);
+      EXPECT_EQ(tensor_bytes(out), tensor_bytes(cs.ref))
+          << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+          << " alpha=" << cs.alpha << " beta=" << cs.beta << " under "
+          << config_name(cfg);
+    }
+  }
+  simd::set_backend(simd::Backend::kNative);
+  ThreadPool::set_global_threads(0);
+}
+
 // gemm_panels reads B from pack_panels' layout and must equal the
 // row-major gemm bit for bit; both beta == 0 paths must write C without
 // reading it (C starts as NaN here).  n is a multiple of neither the

@@ -144,5 +144,13 @@ TEST(Lstm, RejectsMismatchedBackward) {
   EXPECT_THROW(lstm.backward(bad_douts, dxs), ConfigError);
 }
 
+TEST(Lstm, RejectsBackwardWithoutForward) {
+  Rng rng(11);
+  LstmLayer lstm(LstmConfig{2, 3, 0}, rng);
+  std::vector<Tensor> douts;  // matches the empty cache in size
+  std::vector<Tensor> dxs;
+  EXPECT_THROW(lstm.backward(douts, dxs), ConfigError);
+}
+
 }  // namespace
 }  // namespace zipflm

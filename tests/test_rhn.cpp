@@ -164,6 +164,14 @@ TEST(Rhn, OutputShapeIsHidden) {
   EXPECT_EQ(ys[0].cols(), 7);
 }
 
+TEST(Rhn, RejectsBackwardWithoutForward) {
+  Rng rng(5);
+  RhnLayer rhn(RhnConfig{3, 7, 2}, rng);
+  std::vector<Tensor> douts;  // matches the empty cache in size
+  std::vector<Tensor> dxs;
+  EXPECT_THROW(rhn.backward(douts, dxs), ConfigError);
+}
+
 TEST(Rhn, FlopsGrowLinearlyWithDepth) {
   Rng rng(5);
   RhnLayer d2(RhnConfig{8, 16, 2}, rng);

@@ -14,7 +14,8 @@
 // --transport selects how the ranks are realized:
 //
 //   thread  (default)  N threads of this process over CommWorld's
-//                      shared-memory collectives — the seed behavior.
+//                      in-process transport mesh (TransportComm rings
+//                      over in-memory queues).
 //   socket             N forked OS processes that rendezvous over UNIX
 //                      sockets (ProcessGroup / zipflm::net) and train
 //                      over the real wire.  The parent first runs the
@@ -27,10 +28,9 @@
 // --codec raw|packed|int8 arms the gradient wire codec (and the varint
 // index codec for the non-raw settings).  packed is lossless, so the
 // socket world must stay bitwise equal to the thread reference; int8 is
-// deterministic across engines, so the gate holds for it too.  The
+// deterministic across worlds, so the gate holds for it too.  The
 // RESULT record carries the codec and the bytes that actually crossed
-// the wire (socket: measured from the transports; thread: the ledger's
-// modelled wire volume).
+// the wire, measured from the transports in either mode.
 //
 // --shard-embedding row-shards the input table: rank r owns rows
 // [r*V/G, (r+1)*V/G) and the worlds train through the alltoallv
@@ -128,7 +128,7 @@ struct RankReport {
   double forward_seconds = 0.0;    ///< socket children: own PhaseTimers
   double backward_seconds = 0.0;
   std::uint64_t unique_rows = 0;
-  std::uint64_t wire_bytes_sent = 0;  ///< socket children only
+  std::uint64_t wire_bytes_sent = 0;  ///< measured by the rank's transports
 };
 
 /// Everything both worlds share; one parse of argv.
@@ -252,8 +252,7 @@ RankReport run_rank(Communicator& comm, CharLm& model, Adam& opt,
 /// path (bucketed dense allreduce + unique embedding exchange) is in
 /// the measured loop, so --gpus 4 reports what overlap actually hides.
 std::vector<RankReport> run_thread_world(const BenchConfig& bc,
-                                         const std::vector<Index>& ids,
-                                         std::uint64_t* wire_model_out) {
+                                         const std::vector<Index>& ids) {
   std::vector<std::unique_ptr<CharLm>> models;
   std::vector<std::unique_ptr<Adam>> opts;
   std::vector<std::unique_ptr<EmbeddingExchange>> exchanges;
@@ -275,20 +274,9 @@ std::vector<RankReport> run_thread_world(const BenchConfig& bc,
     reports[r] = run_rank(comm, *models[r], *opts[r], *exchanges[r], *syncs[r],
                           ids, bc);
   });
-  if (wire_model_out != nullptr) {
-    // The shared-memory backend moves no real bytes; model the wire
-    // volume as the ledger's logical traffic with each coded gradient
-    // leg's logical bytes swapped for its encoded bytes.  (The index
-    // varint leg needs no swap: its allgatherv already moves — and
-    // books — the encoded payload.)
-    const auto total = world.total_ledger();
-    std::uint64_t wire = total.bytes_sent;
-    for (const CodecSlot slot : {CodecSlot::Packed, CodecSlot::Int8}) {
-      const CodecTraffic& t = total.codec_slot(slot);
-      wire = wire >= t.logical_bytes ? wire - t.logical_bytes : 0;
-      wire += t.wire_bytes;
-    }
-    *wire_model_out = wire;
+  for (int r = 0; r < bc.gpus; ++r) {
+    reports[static_cast<std::size_t>(r)].wire_bytes_sent =
+        world.ledger(r).wire_bytes_sent;
   }
   return reports;
 }
@@ -545,7 +533,7 @@ int main(int argc, char** argv) {
   if (bc.shard_embedding) {
     BenchConfig ref = bc;
     ref.shard_embedding = false;
-    replicated_reports = run_thread_world(ref, ids, nullptr);
+    replicated_reports = run_thread_world(ref, ids);
   }
 
   // The thread world always runs — it IS the bench in thread mode, and
@@ -555,9 +543,7 @@ int main(int argc, char** argv) {
   // collect the merged multi-process document.
   const bool trace_threads = !bc.trace_path.empty() && transport == "thread";
   if (trace_threads) obs::trace_enable(true);
-  std::uint64_t wire_model_bytes = 0;
-  const std::vector<RankReport> thread_reports =
-      run_thread_world(bc, ids, &wire_model_bytes);
+  const std::vector<RankReport> thread_reports = run_thread_world(bc, ids);
   if (trace_threads) {
     obs::trace_enable(false);
     const obs::TraceExportStats st =
@@ -590,7 +576,6 @@ int main(int argc, char** argv) {
   }
 
   bool equal_to_thread = true;
-  std::uint64_t wire_bytes = wire_model_bytes;
   std::vector<RankReport> reports;
   if (transport == "socket") {
     reports = run_socket_world(bc, ids);
@@ -612,16 +597,15 @@ int main(int argc, char** argv) {
         equal_to_thread = false;
       }
     }
-    wire_bytes = 0;
-    for (const auto& rep : reports) wire_bytes += rep.wire_bytes_sent;
     std::printf(
-        "socket transport: %d OS processes, %llu wire bytes, losses/weights "
-        "%s thread backend\n",
-        bc.gpus, static_cast<unsigned long long>(wire_bytes),
-        equal_to_thread ? "bitwise equal to" : "DIVERGED from");
+        "socket transport: %d OS processes, losses/weights %s thread "
+        "backend\n",
+        bc.gpus, equal_to_thread ? "bitwise equal to" : "DIVERGED from");
   } else {
     reports = thread_reports;
   }
+  std::uint64_t wire_bytes = 0;
+  for (const auto& rep : reports) wire_bytes += rep.wire_bytes_sent;
 
   const RankReport& r0 = reports[0];
   double exchange_seconds = 0.0;

@@ -2,8 +2,10 @@
 # Local/CI gate, split into independently runnable tiers:
 #
 #   1     full ctest suite in the default build
-#   1b    fault injection + exact resume, serially (real collective
-#         timeouts blur when the tests share cores with the suite)
+#   1b    fault injection + exact resume, serially (the straggler tests
+#         race real collective timeouts, which blur when the tests share
+#         cores with the suite; a Kill needs no timeout to surface — the
+#         killed rank's closed endpoints reach every peer at once)
 #   1c    observability: trace export end-to-end + the <2% disabled-
 #         instrumentation overhead bar, plus a smoke run (no timing
 #         gate) of the skinny-gemm kernel micro-benchmarks

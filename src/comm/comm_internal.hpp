@@ -1,8 +1,7 @@
-// Internals shared by the two collective engines (thread_comm.cpp's
-// shared-memory rings and transport_comm.cpp's message-passing rings).
-// Both must produce identical chunk schedules and feed the identical
-// global metrics — so the schedule math and the cached metric handles
-// live here, once.  Not installed: this header is private to src/comm.
+// Internals of the collective engine (transport_comm.cpp's rings) and
+// the CommWorld runtime around it: the ring chunk schedule and the
+// cached global metric handles.  Not installed: this header is private
+// to src/comm.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +31,8 @@ struct CommMetrics {
   obs::Gauge& simulated_seconds;
   obs::Counter& ranks_retired;
   obs::Counter& world_rebuilds;
-  // Real-transport telemetry (zero under the shared-memory backend):
-  // bytes that crossed an actual wire, framing included, and wall-clock
+  // Real-transport telemetry: bytes that crossed a transport (in-memory
+  // queue, socketpair or socket), framing included, and wall-clock
   // seconds spent inside collectives — deliberately separate from
   // simulated_seconds so the gauges distinguish modelled from measured.
   obs::Counter& wire_bytes_sent;

@@ -5,7 +5,7 @@
 // and memory claims.
 //
 // The same numbers are mirrored, summed over ranks, into the global
-// zipflm::obs::MetricsRegistry under "comm/..." (see thread_comm.cpp),
+// zipflm::obs::MetricsRegistry under "comm/..." (see transport_comm.cpp),
 // so the unified metrics snapshot reports them without the caller
 // holding a CommWorld.
 #pragma once
@@ -61,17 +61,15 @@ struct TrafficLedger {
   /// Simulated communication seconds under the active CostModel.
   double simulated_comm_seconds = 0.0;
   /// Bytes that actually crossed a transport (framing included) and
-  /// wall-clock seconds measured inside collectives.  Zero under the
-  /// shared-memory backend — these are the *measured* counterparts of
-  /// bytes_sent/bytes_received/simulated_comm_seconds, kept separate so
-  /// modelled and real time are never conflated.
+  /// wall-clock seconds measured inside collectives — the *measured*
+  /// counterparts of bytes_sent/bytes_received/simulated_comm_seconds,
+  /// kept separate so modelled and real time are never conflated.
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   double real_comm_seconds = 0.0;
-  /// Per-codec logical-vs-wire volume, indexed by CodecSlot.  Unlike
-  /// wire_bytes_sent these are also maintained under the shared-memory
-  /// backend (modelled from the encoded sizes the transport ring would
-  /// have moved), so codec benchmarks report bytes-on-wire everywhere.
+  /// Per-codec logical-vs-wire volume, indexed by CodecSlot: the
+  /// encoded bytes each coded leg moved (size prefixes included),
+  /// beside the raw-element bytes they stand for.
   std::array<CodecTraffic, kCodecSlotCount> codec{};
 
   CodecTraffic& codec_slot(CodecSlot s) {

@@ -1,40 +1,42 @@
 // In-process multi-rank runtime: one OS thread per simulated GPU rank,
-// collectives executed step-for-step as ring algorithms over shared
-// memory.
+// each driving a TransportComm endpoint of a per-run message-passing
+// mesh (in-memory queues or a socketpair mesh).
 //
 // This is the substitution for the paper's 50-node MPI cluster.  The
 // collectives move real data through the real ring schedule (so byte
 // accounting, chunking and reduction order are faithful), while the
 // CostModel converts the per-step transfer sizes into simulated seconds
-// on the paper's interconnects.
+// on the paper's interconnects.  There is one collective engine:
+// CommWorld ranks, socketpair ranks and multi-process ProcessGroup ranks
+// all run transport_comm.cpp's rings.
 //
 // Besides the world communicator, every rank can obtain MPI-style
 // sub-communicators (Communicator::node_comm / leader_comm) spanning its
 // node and the set of node leaders — the building blocks of hierarchical
-// collectives (see hierarchical.hpp).
+// collectives (see hierarchical.hpp).  Each is an endpoint of its own
+// per-run mesh, booking into the rank's ledger and fault cursor.
 //
 // Fault tolerance: a FaultPlan injects rank failures at a chosen
 // collective call — Kill (the rank silently stops participating, like a
 // crashed process), Delay (a straggler), or Corrupt (the rank's payload
-// is poisoned on the wire).  With a collective timeout configured, a
-// killed rank surfaces as CollectiveTimeoutError on every survivor
-// instead of a deadlock, the dead rank is retired from the world, and
-// the next run() proceeds over the survivors only.
+// is poisoned on the wire).  A killed rank closes its endpoints, so it
+// surfaces as CollectiveTimeoutError on every survivor at once (no
+// collective timeout needed), the dead rank is retired from the world,
+// and the next run() proceeds over the survivors only.  A collective
+// timeout bounds the wait on a straggler.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "zipflm/comm/communicator.hpp"
 #include "zipflm/comm/cost_model.hpp"
-#include "zipflm/support/barrier.hpp"
 
 namespace zipflm {
 
-class ThreadRankComm;
+struct TransportFault;
 
 enum class FaultKind : std::uint8_t {
   Kill,     ///< rank stops participating (no abort, no exception escapes)
@@ -44,7 +46,7 @@ enum class FaultKind : std::uint8_t {
 
 /// One injected fault: fires when `rank` enters its `at_collective`-th
 /// collective call (0-based, counted per rank across the world's whole
-/// lifetime), then disarms.
+/// lifetime, sub-communicator calls included), then disarms.
 struct FaultEvent {
   int rank = -1;
   FaultKind kind = FaultKind::Kill;
@@ -63,18 +65,14 @@ struct SimulatedRankDeath {
   int rank = -1;
 };
 
-/// Which engine carries CommWorld's collectives.
+/// Which mesh carries CommWorld's collectives.  Both run the same
+/// TransportComm rings, so results are bitwise identical.
 enum class CommBackend : std::uint8_t {
-  /// Shared-memory rings synchronized by cyclic barriers (the original
-  /// engine): deterministic, no kernel involvement.
-  SharedMem,
-  /// zipflm::net message-passing rings over in-memory channels — the
-  /// transport code path with the deterministic in-process oracle
-  /// underneath.
+  /// In-memory message queues (net::InProcHub): deterministic, no
+  /// kernel involvement.
   InProcNet,
-  /// The same message-passing rings over real socketpair fds: every
-  /// collective byte crosses the kernel with genuine backpressure and
-  /// partial transfers.  Results are bitwise identical to SharedMem.
+  /// Real socketpair fds: every collective byte crosses the kernel with
+  /// genuine backpressure and partial transfers.
   Socket,
 };
 
@@ -84,16 +82,14 @@ class CommWorld {
     Topology topo;        ///< defaults to one 8-GPU node sized to world
     CostModel cost;       ///< defaults to the paper's Titan X cluster
     bool topo_set = false;
-    /// Maximum wall time one collective crossing may take before the
-    /// survivors throw CollectiveTimeoutError.  0 = wait forever (the
-    /// pre-fault-tolerance behaviour).
+    /// Maximum wall time one collective wait may take before the rank
+    /// throws CollectiveTimeoutError.  0 = wait forever.
     double collective_timeout_seconds = 0.0;
-    CommBackend backend = CommBackend::SharedMem;
+    CommBackend backend = CommBackend::InProcNet;
     Options() : cost(CostModel::titan_x_cluster()) {}
   };
 
   explicit CommWorld(int world_size, Options options = Options());
-  ~CommWorld();
 
   CommWorld(const CommWorld&) = delete;
   CommWorld& operator=(const CommWorld&) = delete;
@@ -120,8 +116,9 @@ class CommWorld {
   void set_collective_timeout(double seconds);
   double collective_timeout() const noexcept { return timeout_seconds_; }
 
-  /// Execute fn(comm) concurrently on every live rank and join.  If any
-  /// rank throws, all barriers abort (no deadlock) and the lowest-rank
+  /// Execute fn(comm) concurrently on every live rank and join.  Each
+  /// rank closes its endpoints when fn returns or throws, so a failing
+  /// rank never leaves its peers blocked; the lowest-rank originating
   /// exception is rethrown here.  A rank killed by a FaultPlan is
   /// retired before this returns: the survivors' CollectiveTimeoutError
   /// is rethrown, and the next run() spans the remaining ranks only.
@@ -136,85 +133,23 @@ class CommWorld {
   void reset_ledgers();
 
  private:
-  friend class ThreadRankComm;
-
-  enum class Op : std::uint8_t {
-    None,
-    Barrier,
-    AllReduceF32,
-    AllReduceF16,
-    AllReduceMaxF32,
-    AllGather,
-    AllGatherV,
-    AllToAllV,
-    Broadcast,
-  };
-
-  // One collective "slot" per member, re-published at each collective.
-  struct alignas(64) Slot {
-    Op op = Op::None;
-    const std::byte* src = nullptr;
-    std::byte* dst = nullptr;
-    std::size_t bytes = 0;
-    int root = -1;
-    WireCodec codec = WireCodec::None;
-  };
-
-  /// Shared state of one communicator scope (the world, one node, or the
-  /// node-leader set): a barrier and a slot per member, plus the
-  /// topology the cost model prices its ring steps against.
-  struct Group {
-    Group(int size, Topology t)
-        : barrier(size), slots(static_cast<std::size_t>(size)), topo(t) {}
-    CyclicBarrier barrier;
-    std::vector<Slot> slots;
-    Topology topo;
-
-    void validate_uniform(Op op, std::size_t bytes, int root,
-                          WireCodec codec) const;
-    int size() const noexcept { return static_cast<int>(slots.size()); }
-  };
-
-  /// What a rank must do on entering its next collective.
-  struct FaultAction {
-    FaultKind kind;
-    double delay_seconds;
-    bool armed = false;
-  };
-
   /// Advance `global_rank`'s collective counter and return the fault (if
-  /// any) scheduled for this call.  Called only from that rank's thread.
-  FaultAction next_fault(int global_rank);
+  /// any) scheduled for this call — the fault hook of every
+  /// communicator of that rank.  Called only from that rank's thread.
+  TransportFault next_fault(int global_rank);
 
-  /// run() body for the InProcNet / Socket backends: builds a fresh
-  /// per-run transport mesh over the live ranks (poisoned streams from
-  /// a failed run are discarded wholesale) and drives fn through
-  /// TransportComm endpoints instead of the shared-memory groups.
-  void run_transport(const std::function<void(Communicator&)>& fn);
-
-  /// Shared run() epilogue: retire died ranks, rebuild groups, and
-  /// rethrow preferring an originating error over victims —
-  /// BarrierAborted always, CollectiveTimeoutError too when
-  /// `transport_victims` (a closed peer surfaces as a timeout there).
+  /// Epilogue of run(): retire died ranks (re-forming the survivors
+  /// into a flat single-node topology, as NCCL re-forms a communicator
+  /// after a rank loss) and rethrow, preferring an originating error
+  /// over the CollectiveTimeoutError its closed endpoints caused.
   void finish_run(std::vector<int>& died,
-                  std::vector<std::exception_ptr>& errors,
-                  bool transport_victims);
-
-  /// Rebuild the world/node/leader groups over the live ranks.  After
-  /// any retirement the survivors are densely renumbered into a flat
-  /// single-node topology (the degraded schedule makes no locality
-  /// promises), matching how NCCL re-forms a communicator after a rank
-  /// loss.
-  void rebuild_groups();
+                  std::vector<std::exception_ptr>& errors);
 
   const int world_size_;
   Topology topo_;
   CostModel cost_;
-  CommBackend backend_ = CommBackend::SharedMem;
+  CommBackend backend_;
   double timeout_seconds_ = 0.0;
-  std::unique_ptr<Group> world_group_;
-  std::vector<std::unique_ptr<Group>> node_groups_;  ///< one per node
-  std::unique_ptr<Group> leader_group_;  ///< node leaders (nodes > 1)
   std::vector<TrafficLedger> ledgers_;
   std::vector<int> live_;    ///< global ids, ascending
   std::vector<int> failed_;  ///< retired ranks, in death order

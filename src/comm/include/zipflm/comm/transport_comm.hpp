@@ -1,25 +1,24 @@
 // Communicator implemented as message-passing rings over a
-// zipflm::net::Transport — the engine behind CommWorld's InProcNet /
-// Socket backends and the multi-process ProcessGroup.
+// zipflm::net::Transport — the one collective engine, behind every
+// CommWorld backend (InProcNet, Socket) and the multi-process
+// ProcessGroup.
 //
-// The contract that makes backends interchangeable: every collective
-// runs the SAME chunk schedule and the SAME accumulation order as the
-// shared-memory engine in thread_comm.cpp (reduce-scatter step s
-// accumulates the left neighbour's partial of chunk wrap(rank-s-1) as
-// `mine += left`), so losses and weights are bitwise identical across
-// thread, in-proc-net, and socket worlds.  The TrafficLedger payload
-// accounting and obs span/metric instrumentation use the identical
-// formulas too; what the transport adds on top is *measured* telemetry
-// — wire_bytes_* (framing included) and real_comm_seconds — kept apart
-// from the CostModel's simulated figures.
+// Every collective runs one fixed chunk schedule and accumulation order
+// (reduce-scatter step s accumulates the left neighbour's partial of
+// chunk wrap(rank-s-1) as `mine += left`), so losses and weights are
+// bitwise identical across in-process, socketpair and multi-process
+// worlds.  Next to the TrafficLedger payload accounting and obs
+// span/metric instrumentation, the transport records *measured*
+// telemetry — wire_bytes_* (framing included) and real_comm_seconds —
+// kept apart from the CostModel's simulated figures.
 //
 // Every collective opens with a 24-byte header exchange between ring
 // neighbours carrying {op, payload bytes, root, sequence number}: the
 // world-size handshake's per-collective sibling.  A disagreeing header
 // is a CollectiveMismatchError; a peer that vanished mid-collective
 // (EOF, ECONNRESET, transport timeout) surfaces as
-// CollectiveTimeoutError, feeding the same rank-retire / world-rebuild
-// path the shared-memory barriers use.
+// CollectiveTimeoutError, feeding CommWorld's rank-retire /
+// world-rebuild path.
 #pragma once
 
 #include <chrono>
@@ -35,8 +34,8 @@
 
 namespace zipflm {
 
-/// What a rank must do on entering its next collective — the transport
-/// engine's view of CommWorld's private FaultAction.
+/// What a rank must do on entering its next collective (CommWorld
+/// derives it from its FaultPlan).
 struct TransportFault {
   FaultKind kind = FaultKind::Kill;
   double delay_seconds = 0.0;
@@ -54,6 +53,11 @@ class TransportComm final : public Communicator {
     /// Id used for the SimulatedRankDeath signal and trace lanes; equals
     /// rank() except in a degraded world with retired ranks.
     int global_rank = 0;
+    /// What node_comm() / leader_comm() return.  CommWorld wires its
+    /// per-node and node-leader meshes here; null (ProcessGroup) makes
+    /// hierarchical collectives fall back to the flat ring.
+    Communicator* node = nullptr;
+    Communicator* leader = nullptr;
   };
 
   /// The transport must outlive the communicator and is driven
@@ -64,6 +68,8 @@ class TransportComm final : public Communicator {
   int world_size() const noexcept override { return transport_.world_size(); }
   const Topology& topology() const noexcept override { return topo_; }
   TrafficLedger& ledger() noexcept override { return *hooks_.ledger; }
+  Communicator* node_comm() noexcept override { return hooks_.node; }
+  Communicator* leader_comm() noexcept override { return hooks_.leader; }
 
   void barrier() override;
   void allreduce_sum(std::span<float> data) override;
@@ -130,10 +136,10 @@ class TransportComm final : public Communicator {
     std::chrono::steady_clock::time_point start_;
   };
 
-  /// Fault hook at the head of every collective — same semantics as the
-  /// shared-memory engine: Kill throws SimulatedRankDeath, Delay
-  /// sleeps, Corrupt poisons the rank's own contribution with 0xFF
-  /// bytes (deferred via pending_corrupt_ when no buffer exists yet).
+  /// Fault hook at the head of every collective: Kill throws
+  /// SimulatedRankDeath, Delay sleeps, Corrupt poisons the rank's own
+  /// contribution with 0xFF bytes (deferred via pending_corrupt_ when no
+  /// buffer exists yet).
   void enter_collective(std::byte* buf, std::size_t bytes);
 
   /// Exchange WireHeaders with the ring neighbours and validate the

@@ -41,8 +41,7 @@
 namespace zipflm {
 
 /// Gradient wire codec applied per ring-allreduce hop.  Negotiated per
-/// collective: the shared-memory engine publishes it in the rendezvous
-/// slot, the transport engine in the wire header — mismatched ranks
+/// collective in the transport engine's wire header — mismatched ranks
 /// fault loudly instead of decoding garbage.
 enum class WireCodec : std::uint8_t {
   None = 0,    ///< raw element bytes (FP32 or FP16 as staged)

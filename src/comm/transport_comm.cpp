@@ -220,8 +220,8 @@ std::uint64_t TransportComm::ring_allreduce_coded(std::span<T> data,
   // Phase 1: reduce-scatter over encoded partials.  The operand the
   // reducer sees is decode(encode(left partial)) — for a lossless codec
   // that is the partial itself (identical arithmetic to the raw path);
-  // for INT8 the shared-memory engine performs the same round-trip on
-  // the published values, keeping the addition trees bitwise equal.
+  // for INT8 it is the partial's quantized round-trip, the same on every
+  // backend because encode and decode are pure functions of the bytes.
   for (int s = 0; s + 1 < g; ++s) {
     const auto sr = chunk_range(n, g, wrap(rank() - s, g));
     const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -326,9 +326,9 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
 
         // Phase 1: reduce-scatter.  Step s: send our partial of chunk
         // (rank - s) right, receive the left neighbour's partial of chunk
-        // (rank - s - 1), and accumulate it as `mine += left` — the same
-        // operand order, on the same contiguous ranges, as the
-        // shared-memory engine, so the FP addition tree is identical.
+        // (rank - s - 1), and accumulate it as `mine += left`.  Chunk c
+        // thus ends as x[c-1] + (x[c-2] + (... + (x[c+1] + x[c]))), one
+        // fixed FP addition tree on every backend.
         for (int s = 0; s + 1 < g; ++s) {
           const auto sr = chunk_range(n, g, wrap(rank() - s, g));
           const auto rr = chunk_range(n, g, wrap(rank() - s - 1, g));
@@ -413,8 +413,12 @@ void TransportComm::allgather_bytes(std::span<const std::byte> local,
                "allgather output must be world_size * block bytes");
   const std::size_t b = local.size();
   obs::SpanScope span("allgather", "payload_bytes", static_cast<double>(b));
-  std::memcpy(out.data() + static_cast<std::size_t>(rank()) * b, local.data(),
-              b);
+  if (b != 0) {
+    // Empty blocks may come with null data pointers, which memcpy's
+    // nonnull contract forbids even for a zero-byte copy.
+    std::memcpy(out.data() + static_cast<std::size_t>(rank()) * b,
+                local.data(), b);
+  }
   enter_collective(out.data() + static_cast<std::size_t>(rank()) * b, b);
   WireScope wire(*this);
   try {
@@ -567,7 +571,7 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
                       static_cast<double>(send.size()));
   // Stage the outgoing concatenation so a Corrupt fault poisons this
   // rank's contribution (the self block included) without touching the
-  // caller's buffer — matching the shared-memory engine.
+  // caller's buffer.
   std::vector<std::byte> staged(send.begin(), send.end());
   std::vector<std::size_t> send_off(static_cast<std::size_t>(g) + 1, 0);
   for (int d = 0; d < g; ++d) {

@@ -26,8 +26,8 @@
 // touches it — already-delivered messages are still readable first.  A
 // configured timeout turns an indefinite wait into
 // TransportTimeoutError.  The comm layer maps both onto
-// CollectiveTimeoutError so rank-retire/world-rebuild semantics hold
-// over real wires exactly as they do over the shared-memory barriers.
+// CollectiveTimeoutError, which drives CommWorld's rank-retire /
+// world-rebuild path.
 #pragma once
 
 #include <cstddef>

@@ -85,7 +85,11 @@ inline void gemm_tile_nt(const float* a, Index lda, const float* b, Index ldb,
   using R = typename V::Reg;
   constexpr Index W = static_cast<Index>(V::kWidth);
   R acc[RT][CP];
+  // The pragmas unroll the tile loops fully, so that -O2 builds too
+  // keep the accumulators in registers.
+#pragma GCC unroll 8
   for (Index r = 0; r < RT; ++r) {
+#pragma GCC unroll 2
     for (Index p = 0; p < CP; ++p) {
       acc[r][p] = load_c ? V::load(c + (i + r) * ldc + j + p * W) : V::zero();
     }
@@ -99,16 +103,20 @@ inline void gemm_tile_nt(const float* a, Index lda, const float* b, Index ldb,
           reinterpret_cast<std::uintptr_t>(brow) +
           static_cast<std::uintptr_t>(kStreamAhead) * sizeof(float)));
     }
+#pragma GCC unroll 8
     for (Index r = 0; r < RT; ++r) {
       float av = TA ? a[kk * lda + i + r] : a[(i + r) * lda + kk];
       if constexpr (!A1) av *= alpha;
       const R bc = V::set1(av);
+#pragma GCC unroll 2
       for (Index p = 0; p < CP; ++p) {
         acc[r][p] = V::add(acc[r][p], V::mul(bc, V::load(brow + p * W)));
       }
     }
   }
+#pragma GCC unroll 8
   for (Index r = 0; r < RT; ++r) {
+#pragma GCC unroll 2
     for (Index p = 0; p < CP; ++p) {
       V::store(c + (i + r) * ldc + j + p * W, acc[r][p]);
     }

@@ -6,11 +6,11 @@
 //
 // The whole suite is parameterized over the CommWorld backend AND over
 // the gradient wire codec: the same guarantees must hold when the
-// collectives run over shared memory and when they run over real
-// sockets (where a dead rank is an EOF on the wire rather than a
-// barrier timeout), and FaultSpec::at_collective indices — which count
-// collective invocations, not bytes — must stay stable when a codec
-// changes every payload's size on the wire.
+// collectives run over in-memory queues and when they run over real
+// sockets (a dead rank is a closed channel or an EOF on the wire), and
+// FaultSpec::at_collective indices — which count collective
+// invocations, not bytes — must stay stable when a codec changes every
+// payload's size on the wire.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -189,8 +189,8 @@ TEST_P(CommFaults, PathologicalStragglerHitsTimeoutWithoutRetirement) {
   EXPECT_TRUE(world.failed_ranks().empty());
   EXPECT_EQ(world.world_size(), 2);
 
-  // The world recovers once the straggler returns: barriers were
-  // poisoned, not destroyed, and the next run() resets them.
+  // The world recovers once the straggler returns: the timed-out run's
+  // streams are discarded and the next run() builds fresh meshes.
   world.run([&](Communicator& comm) {
     WireCodecScope codec_scope(comm, codec());
     std::vector<float> buf(2, 1.0f);
@@ -325,12 +325,12 @@ TEST_P(CommFaults, ResilientEpochGivesUpAfterMaxRestarts) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, CommFaults,
     ::testing::Combine(
-        ::testing::Values(CommBackend::SharedMem, CommBackend::Socket),
+        ::testing::Values(CommBackend::InProcNet, CommBackend::Socket),
         ::testing::Values(WireCodec::None, WireCodec::Packed)),
     [](const ::testing::TestParamInfo<std::tuple<CommBackend, WireCodec>>&
            info) {
       const std::string backend =
-          std::get<0>(info.param) == CommBackend::SharedMem ? "SharedMem"
+          std::get<0>(info.param) == CommBackend::InProcNet ? "InProcNet"
                                                             : "Socket";
       const std::string wire =
           std::get<1>(info.param) == WireCodec::None ? "Raw" : "Coded";

@@ -1,5 +1,10 @@
-// Sub-communicators and the two-level allreduce.
+// Sub-communicators and the two-level allreduce, on both CommWorld
+// meshes (in-memory queues and socketpairs).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <string>
 
 #include "zipflm/comm/hierarchical.hpp"
 #include "zipflm/comm/thread_comm.hpp"
@@ -8,15 +13,37 @@
 namespace zipflm {
 namespace {
 
-CommWorld::Options multi_node(int nodes, int gpus_per_node) {
+CommWorld::Options single_node(CommBackend backend) {
   CommWorld::Options o;
+  o.backend = backend;
+  return o;
+}
+
+CommWorld::Options multi_node(CommBackend backend, int nodes,
+                              int gpus_per_node) {
+  CommWorld::Options o = single_node(backend);
   o.topo = Topology{nodes, gpus_per_node};
   o.topo_set = true;
   return o;
 }
 
-TEST(SubComm, NodeCommSpansTheNode) {
-  CommWorld world(8, multi_node(2, 4));
+std::string backend_name(CommBackend backend) {
+  return backend == CommBackend::Socket ? "Socket" : "InProcNet";
+}
+
+std::string backend_param_name(
+    const ::testing::TestParamInfo<CommBackend>& info) {
+  return backend_name(info.param);
+}
+
+const auto kBackends =
+    ::testing::Values(CommBackend::InProcNet, CommBackend::Socket);
+
+class SubComm : public ::testing::TestWithParam<CommBackend> {};
+INSTANTIATE_TEST_SUITE_P(Backends, SubComm, kBackends, backend_param_name);
+
+TEST_P(SubComm, NodeCommSpansTheNode) {
+  CommWorld world(8, multi_node(GetParam(), 2, 4));
   world.run([&](Communicator& comm) {
     Communicator* node = comm.node_comm();
     ASSERT_NE(node, nullptr);
@@ -26,8 +53,8 @@ TEST(SubComm, NodeCommSpansTheNode) {
   });
 }
 
-TEST(SubComm, LeaderCommOnlyOnLeaders) {
-  CommWorld world(8, multi_node(2, 4));
+TEST_P(SubComm, LeaderCommOnlyOnLeaders) {
+  CommWorld world(8, multi_node(GetParam(), 2, 4));
   world.run([&](Communicator& comm) {
     Communicator* leaders = comm.leader_comm();
     if (comm.rank() % 4 == 0) {
@@ -40,8 +67,8 @@ TEST(SubComm, LeaderCommOnlyOnLeaders) {
   });
 }
 
-TEST(SubComm, SingleNodeHasNoLeaderComm) {
-  CommWorld world(4);
+TEST_P(SubComm, SingleNodeHasNoLeaderComm) {
+  CommWorld world(4, single_node(GetParam()));
   world.run([&](Communicator& comm) {
     EXPECT_EQ(comm.leader_comm(), nullptr);
     ASSERT_NE(comm.node_comm(), nullptr);
@@ -49,8 +76,8 @@ TEST(SubComm, SingleNodeHasNoLeaderComm) {
   });
 }
 
-TEST(SubComm, NodeAllReduceSumsWithinNodeOnly) {
-  CommWorld world(8, multi_node(2, 4));
+TEST_P(SubComm, NodeAllReduceSumsWithinNodeOnly) {
+  CommWorld world(8, multi_node(GetParam(), 2, 4));
   world.run([&](Communicator& comm) {
     std::vector<float> data(16, static_cast<float>(comm.rank() + 1));
     comm.node_comm()->allreduce_sum(std::span<float>(data));
@@ -60,8 +87,8 @@ TEST(SubComm, NodeAllReduceSumsWithinNodeOnly) {
   });
 }
 
-TEST(SubComm, SubGroupsAreReusableAcrossSteps) {
-  CommWorld world(8, multi_node(2, 4));
+TEST_P(SubComm, SubGroupsAreReusableAcrossSteps) {
+  CommWorld world(8, multi_node(GetParam(), 2, 4));
   world.run([&](Communicator& comm) {
     for (int step = 0; step < 5; ++step) {
       std::vector<float> data(3, 1.0f);
@@ -71,22 +98,33 @@ TEST(SubComm, SubGroupsAreReusableAcrossSteps) {
   });
 }
 
-class HierarchicalWorlds
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
+using ShapeAndBackend = std::tuple<std::pair<int, int>, CommBackend>;
 
-INSTANTIATE_TEST_SUITE_P(Shapes, HierarchicalWorlds,
-                         ::testing::Values(std::pair{1, 4}, std::pair{2, 2},
-                                           std::pair{2, 4}, std::pair{3, 2},
-                                           std::pair{4, 4}));
+std::string shape_name(const ::testing::TestParamInfo<ShapeAndBackend>& info) {
+  const auto [shape, backend] = info.param;
+  return std::to_string(shape.first) + "x" + std::to_string(shape.second) +
+         backend_name(backend);
+}
+
+class HierarchicalWorlds : public ::testing::TestWithParam<ShapeAndBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HierarchicalWorlds,
+    ::testing::Combine(::testing::Values(std::pair{1, 4}, std::pair{2, 2},
+                                         std::pair{2, 4}, std::pair{3, 2},
+                                         std::pair{4, 4}),
+                       kBackends),
+    shape_name);
 
 TEST_P(HierarchicalWorlds, MatchesFlatAllReduce) {
-  const auto [nodes, gpn] = GetParam();
+  const auto [shape, backend] = GetParam();
+  const auto [nodes, gpn] = shape;
   const int g = nodes * gpn;
   for (const std::size_t n : {1u, 7u, 64u, 333u}) {
     std::vector<std::vector<float>> flat(static_cast<std::size_t>(g));
     std::vector<std::vector<float>> hier(static_cast<std::size_t>(g));
     for (const bool hierarchical : {false, true}) {
-      CommWorld world(g, multi_node(nodes, gpn));
+      CommWorld world(g, multi_node(backend, nodes, gpn));
       world.run([&](Communicator& comm) {
         std::vector<float> data(n);
         Rng rng(500 + static_cast<std::uint64_t>(comm.rank()));
@@ -114,8 +152,12 @@ TEST_P(HierarchicalWorlds, MatchesFlatAllReduce) {
   }
 }
 
-TEST(Hierarchical, Fp16VariantSums) {
-  CommWorld world(4, multi_node(2, 2));
+class Hierarchical : public ::testing::TestWithParam<CommBackend> {};
+INSTANTIATE_TEST_SUITE_P(Backends, Hierarchical, kBackends,
+                         backend_param_name);
+
+TEST_P(Hierarchical, Fp16VariantSums) {
+  CommWorld world(4, multi_node(GetParam(), 2, 2));
   world.run([&](Communicator& comm) {
     std::vector<Half> data(10, Half(1.5f));
     hierarchical_allreduce_sum(comm, std::span<Half>(data));
@@ -125,7 +167,7 @@ TEST(Hierarchical, Fp16VariantSums) {
   });
 }
 
-TEST(Hierarchical, WinsWhenIntraNodeLinksAreMuchFaster) {
+TEST_P(Hierarchical, WinsWhenIntraNodeLinksAreMuchFaster) {
   // The two-level scheme trades 2.5 extra intra-node passes for cutting
   // the fabric traffic from 2(G-1)/G to 2(N-1)/N of the buffer, so it
   // wins only when intra/inter bandwidth ratio is large (NVLink-class).
@@ -133,7 +175,7 @@ TEST(Hierarchical, WinsWhenIntraNodeLinksAreMuchFaster) {
   // bench quantifies the crossover; here we pin both sides.
   const std::size_t n = 1 << 18;
   auto measure = [&](double intra_Bps, bool hierarchical) {
-    CommWorld::Options o = multi_node(4, 4);
+    CommWorld::Options o = multi_node(GetParam(), 4, 4);
     o.cost.intra_node = LinkParams{3e-6, intra_Bps};
     o.cost.inter_node = LinkParams{2e-6, 6e9};
     CommWorld world(16, o);
@@ -153,12 +195,59 @@ TEST(Hierarchical, WinsWhenIntraNodeLinksAreMuchFaster) {
   EXPECT_GT(measure(12.8e9, true), measure(12.8e9, false));
 }
 
-TEST(Hierarchical, FallsBackToFlatOnSingleNode) {
-  CommWorld world(4);
+TEST_P(Hierarchical, FallsBackToFlatOnSingleNode) {
+  CommWorld world(4, single_node(GetParam()));
   world.run([&](Communicator& comm) {
     std::vector<float> data(8, 2.0f);
     hierarchical_allreduce_sum(comm, std::span<float>(data));
     for (float v : data) ASSERT_EQ(v, 8.0f);
+  });
+}
+
+TEST_P(Hierarchical, KillInNodeCollectiveRetiresRankWithoutHanging) {
+  // 2 nodes x 2 GPUs.  Rank 1 (node 0, not a leader) dies at its second
+  // collective — the node allreduce inside hierarchical_allreduce_sum,
+  // counted on the same per-rank cursor as the world barrier before it.
+  // Its closed endpoints reach every survivor: rank 0 on the node mesh,
+  // rank 2 through the leader allreduce, rank 3 through the node
+  // broadcast.  The timeout is only a safety net: the loss must surface
+  // long before it.
+  CommWorld::Options o = multi_node(GetParam(), 2, 2);
+  o.collective_timeout_seconds = 60.0;
+  CommWorld world(4, o);
+  FaultPlan plan;
+  plan.events.push_back({.rank = 1, .kind = FaultKind::Kill,
+                         .at_collective = 1});
+  world.inject_faults(plan);
+
+  std::atomic<int> survivors_failed{0};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(world.run([&](Communicator& comm) {
+    comm.barrier();
+    std::vector<float> data(64, 1.0f);
+    try {
+      hierarchical_allreduce_sum(comm, std::span<float>(data));
+    } catch (const CollectiveTimeoutError&) {
+      survivors_failed.fetch_add(1);
+      throw;
+    }
+  }),
+               CollectiveTimeoutError);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            30.0);
+  EXPECT_EQ(survivors_failed.load(), 3);
+  EXPECT_EQ(world.failed_ranks(), (std::vector<int>{1}));
+  EXPECT_EQ(world.live_ranks(), (std::vector<int>{0, 2, 3}));
+
+  // The survivors form one flat node: the hierarchy falls back to the
+  // flat ring and still sums exactly.
+  world.run([&](Communicator& comm) {
+    EXPECT_EQ(comm.leader_comm(), nullptr);
+    std::vector<float> data(5, 1.0f);
+    hierarchical_allreduce_sum(comm, std::span<float>(data));
+    for (float v : data) ASSERT_EQ(v, 3.0f);
   });
 }
 

@@ -5,17 +5,17 @@
 //    partial bidirectional transfers without deadlock, recv timeouts,
 //    and the drain-then-PeerClosedError failure order, on both the
 //    in-process oracle and the real socket backend.
-//  * Collective parity — the same battery of collectives run under the
-//    SharedMem, InProcNet, and Socket CommWorld backends must produce
-//    bitwise-identical buffers and identical payload ledgers (the net
-//    backends additionally record nonzero wire bytes).
-//  * Trainer parity — a DistributedTrainer run over the message-passing
-//    backends reproduces the shared-memory losses and weights exactly,
-//    at G in {1, 4}, FP32/FP16 wire, and with the overlapped bucketed
-//    exchange riding the socket path.
+//  * Collectives — a battery of every collective family run under the
+//    InProcNet and Socket CommWorld backends must match the serial
+//    reference (collective_reference.hpp) bitwise, with identical
+//    payload ledgers and nonzero measured wire bytes on both.
+//  * Trainer parity — a DistributedTrainer run over the socketpair mesh
+//    reproduces the in-memory mesh's losses and weights exactly, at G in
+//    {1, 4}, FP32/FP16 wire, and with the overlapped bucketed exchange.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -28,7 +28,10 @@
 #include "zipflm/net/inproc.hpp"
 #include "zipflm/net/socket.hpp"
 #include "zipflm/net/transport.hpp"
+#include "zipflm/support/rng.hpp"
 #include "zipflm/tensor/half.hpp"
+
+#include "collective_reference.hpp"
 
 namespace zipflm {
 namespace {
@@ -270,12 +273,9 @@ TEST(ProcessGroup, TwoProcessesWorthOfRanksInThreads) {
   EXPECT_TRUE(f1.get());
 }
 
-// -- Collective parity across CommWorld backends ----------------------
+// -- Collectives against the serial reference ---------------------------
 
-struct RankOutcome {
-  std::vector<unsigned char> bytes;  ///< every result buffer, concatenated
-  TrafficLedger ledger;
-};
+namespace ref = collective_reference;
 
 void append_bytes(std::vector<unsigned char>& out, const void* p,
                   std::size_t n) {
@@ -283,77 +283,102 @@ void append_bytes(std::vector<unsigned char>& out, const void* p,
   out.insert(out.end(), b, b + n);
 }
 
-/// One deterministic pass through every collective family.
-std::vector<RankOutcome> run_battery(CommBackend backend, int gpus) {
+template <typename T>
+std::vector<unsigned char> bytes_vec(const std::vector<T>& v) {
+  std::vector<unsigned char> out;
+  append_bytes(out, v.data(), v.size() * sizeof(T));
+  return out;
+}
+
+/// Every rank's inputs to one pass of the battery, for a world of g
+/// ranks and allreduce length n.  Random magnitudes spanning several
+/// binades make the FP sums order-sensitive, so a changed fold shows.
+struct BatteryInputs {
+  ref::PerRank<float> sum, max;
+  ref::PerRank<Half> half;
+  ref::PerRank<int> block;      ///< allgather: n % 3 ints per rank
+  ref::PerRank<double> vblock;  ///< allgatherv: (r + n) % 3 per rank
+  ref::PerRank<float> bcast;    ///< broadcast from rank g - 1
+  ref::PerRank<std::int32_t> a2a;
+  std::vector<std::vector<std::size_t>> a2a_counts;  ///< [src][dst]
+
+  BatteryInputs(int g, std::size_t n) {
+    const auto gs = static_cast<std::size_t>(g);
+    for (int r = 0; r < g; ++r) {
+      Rng rng(4000 + 97 * static_cast<std::uint64_t>(g) + n * 13 +
+              static_cast<std::uint64_t>(r));
+      auto wild = [&rng] {
+        return static_cast<float>(rng.uniform(-1.0, 1.0) *
+                                  std::ldexp(1.0, static_cast<int>(
+                                                      rng.uniform_index(24))));
+      };
+      std::vector<float> s(n), m(n), b(n);
+      std::vector<Half> h(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        s[j] = wild();
+        m[j] = static_cast<float>(rng.uniform_index(9)) - 4.0f;
+        h[j] = Half(static_cast<float>(rng.uniform(-4.0, 4.0)));
+        b[j] = wild();
+      }
+      sum.push_back(s);
+      max.push_back(m);
+      half.push_back(h);
+      bcast.push_back(b);
+      block.emplace_back(n % 3, r * 10 + 1);
+      vblock.emplace_back((static_cast<std::size_t>(r) + n) % 3,
+                          1.5 * r - 0.25);
+      std::vector<std::size_t> counts(gs);
+      std::vector<std::int32_t> send;
+      for (int d = 0; d < g; ++d) {
+        counts[static_cast<std::size_t>(d)] =
+            (static_cast<std::size_t>(r + d) + n) % 3;
+        for (std::size_t j = 0; j < counts[static_cast<std::size_t>(d)]; ++j) {
+          send.push_back(r * 100 + d * 10 + static_cast<std::int32_t>(j));
+        }
+      }
+      a2a.push_back(send);
+      a2a_counts.push_back(counts);
+    }
+  }
+};
+
+/// Every collective's result on one rank, and the rank's ledger.
+struct RankOutcome {
+  std::vector<float> sum, max, bcast;
+  std::vector<Half> half;
+  std::vector<int> gathered;
+  std::vector<double> vgathered;
+  std::vector<std::size_t> vcounts;
+  std::vector<std::int32_t> a2a;
+  std::vector<std::size_t> a2a_counts;
+  TrafficLedger ledger;
+};
+
+/// One pass through every collective family.
+std::vector<RankOutcome> run_battery(CommBackend backend,
+                                     const BatteryInputs& in) {
+  const int gpus = static_cast<int>(in.sum.size());
   CommWorld::Options wopt;
   wopt.backend = backend;
   CommWorld world(gpus, wopt);
   std::vector<RankOutcome> outs(static_cast<std::size_t>(gpus));
   world.run([&](Communicator& comm) {
-    const int r = comm.rank();
-    const int g = comm.world_size();
-    auto& out = outs[static_cast<std::size_t>(r)].bytes;
+    const auto r = static_cast<std::size_t>(comm.rank());
+    RankOutcome& o = outs[r];
     comm.barrier();
-
-    std::vector<float> f(41);
-    for (std::size_t j = 0; j < f.size(); ++j) {
-      f[j] = 0.125f * static_cast<float>(r + 1) * static_cast<float>(j + 1);
-    }
-    comm.allreduce_sum(std::span<float>(f));
-    append_bytes(out, f.data(), f.size() * sizeof(float));
-
-    std::vector<Half> h(23);
-    for (std::size_t j = 0; j < h.size(); ++j) {
-      h[j] = Half(0.25f * static_cast<float>(r + 1) -
-                  0.5f * static_cast<float>(j));
-    }
-    comm.allreduce_sum(std::span<Half>(h));
-    append_bytes(out, h.data(), h.size() * sizeof(Half));
-
-    std::vector<float> m(17);
-    for (std::size_t j = 0; j < m.size(); ++j) {
-      m[j] = static_cast<float>((r * 7 + static_cast<int>(j) * 3) % 13) - 6.0f;
-    }
-    comm.allreduce_max(std::span<float>(m));
-    append_bytes(out, m.data(), m.size() * sizeof(float));
-
-    const std::vector<int> mine{r * 3, r * 3 + 1};
-    std::vector<int> gathered;
-    comm.allgather(std::span<const int>(mine), gathered);
-    append_bytes(out, gathered.data(), gathered.size() * sizeof(int));
-
-    const std::vector<double> vmine(static_cast<std::size_t>(r) + 1,
-                                    1.5 * r - 0.25);
-    std::vector<double> vgathered;
-    std::vector<std::size_t> counts;
-    comm.allgatherv(std::span<const double>(vmine), vgathered, &counts);
-    append_bytes(out, vgathered.data(), vgathered.size() * sizeof(double));
-    append_bytes(out, counts.data(), counts.size() * sizeof(std::size_t));
-
-    const int root = g > 1 ? 1 : 0;
-    std::vector<float> b(9, r == root ? 2.5f : 0.0f);
-    comm.broadcast(std::span<float>(b), root);
-    append_bytes(out, b.data(), b.size() * sizeof(float));
-
-    // alltoallv with uneven per-destination counts (dest d gets d+1
-    // elements from every source, so block boundaries differ per pair).
-    std::vector<std::int32_t> a2a_send;
-    std::vector<std::size_t> a2a_counts(static_cast<std::size_t>(g));
-    for (int d = 0; d < g; ++d) {
-      a2a_counts[static_cast<std::size_t>(d)] =
-          static_cast<std::size_t>(d) + 1;
-      for (int j = 0; j <= d; ++j) {
-        a2a_send.push_back(r * 100 + d * 10 + j);
-      }
-    }
-    std::vector<std::int32_t> a2a_out;
-    std::vector<std::size_t> a2a_recv;
-    comm.alltoallv(std::span<const std::int32_t>(a2a_send), a2a_counts,
-                   a2a_out, a2a_recv);
-    append_bytes(out, a2a_out.data(), a2a_out.size() * sizeof(std::int32_t));
-    append_bytes(out, a2a_recv.data(),
-                 a2a_recv.size() * sizeof(std::size_t));
-
+    o.sum = in.sum[r];
+    comm.allreduce_sum(std::span<float>(o.sum));
+    o.half = in.half[r];
+    comm.allreduce_sum(std::span<Half>(o.half));
+    o.max = in.max[r];
+    comm.allreduce_max(std::span<float>(o.max));
+    comm.allgather(std::span<const int>(in.block[r]), o.gathered);
+    comm.allgatherv(std::span<const double>(in.vblock[r]), o.vgathered,
+                    &o.vcounts);
+    o.bcast = in.bcast[r];
+    comm.broadcast(std::span<float>(o.bcast), comm.world_size() - 1);
+    comm.alltoallv(std::span<const std::int32_t>(in.a2a[r]),
+                   in.a2a_counts[r], o.a2a, o.a2a_counts);
     comm.barrier();
   });
   for (int r = 0; r < gpus; ++r) {
@@ -378,31 +403,77 @@ void expect_payload_ledgers_equal(const TrafficLedger& a,
   EXPECT_EQ(a.simulated_comm_seconds, b.simulated_comm_seconds);
 }
 
-TEST(TransportCommParity, CollectivesMatchSharedMemBitwise) {
-  for (const int gpus : {1, 4}) {
-    const auto ref = run_battery(CommBackend::SharedMem, gpus);
-    for (const CommBackend backend :
-         {CommBackend::InProcNet, CommBackend::Socket}) {
-      const auto got = run_battery(backend, gpus);
-      for (int r = 0; r < gpus; ++r) {
-        const auto& want = ref[static_cast<std::size_t>(r)];
-        const auto& have = got[static_cast<std::size_t>(r)];
-        EXPECT_EQ(want.bytes, have.bytes)
-            << "rank " << r << " diverged at G=" << gpus;
-        expect_payload_ledgers_equal(want.ledger, have.ledger);
-        // Real wire traffic exists only on the net backends (and only
-        // when there is a peer to talk to).
-        EXPECT_EQ(want.ledger.wire_bytes_sent, 0u);
-        if (gpus > 1) {
-          EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
-          EXPECT_GT(have.ledger.real_comm_seconds, 0.0);
+TEST(TransportCommParity, CollectivesMatchSerialReference) {
+  // Lengths cover empty payloads, fewer elements than ranks (empty ring
+  // chunks), and lengths no world size divides.
+  for (const int g : {1, 2, 3, 4, 8}) {
+    for (const std::size_t n : {0u, 1u, 7u, 41u}) {
+      const BatteryInputs in(g, n);
+      const auto want_sum = bytes_vec(ref::allreduce_sum(in.sum));
+      const auto want_half = bytes_vec(ref::allreduce_sum(in.half));
+      const auto want_max = bytes_vec(ref::allreduce_max(in.max));
+      const auto want_gathered = ref::allgather(in.block);
+      const auto want_vgathered = ref::allgather(in.vblock);
+      std::vector<RankOutcome> inproc;
+      for (const CommBackend backend :
+           {CommBackend::InProcNet, CommBackend::Socket}) {
+        const auto got = run_battery(backend, in);
+        for (int r = 0; r < g; ++r) {
+          SCOPED_TRACE(::testing::Message()
+                       << (backend == CommBackend::Socket ? "Socket"
+                                                          : "InProcNet")
+                       << " G=" << g << " n=" << n << " rank " << r);
+          const auto& o = got[static_cast<std::size_t>(r)];
+          EXPECT_EQ(bytes_vec(o.sum), want_sum);
+          EXPECT_EQ(bytes_vec(o.half), want_half);
+          EXPECT_EQ(bytes_vec(o.max), want_max);
+          EXPECT_EQ(o.gathered, want_gathered);
+          EXPECT_EQ(bytes_vec(o.vgathered), bytes_vec(want_vgathered));
+          for (int s = 0; s < g; ++s) {
+            EXPECT_EQ(o.vcounts[static_cast<std::size_t>(s)],
+                      in.vblock[static_cast<std::size_t>(s)].size());
+            EXPECT_EQ(o.a2a_counts[static_cast<std::size_t>(s)],
+                      in.a2a_counts[static_cast<std::size_t>(s)]
+                                   [static_cast<std::size_t>(r)]);
+          }
+          EXPECT_EQ(bytes_vec(o.bcast),
+                    bytes_vec(in.bcast[static_cast<std::size_t>(g - 1)]));
+          EXPECT_EQ(o.a2a, ref::alltoallv(in.a2a, in.a2a_counts, r));
+          if (backend == CommBackend::Socket) {
+            // Same payload accounting on both meshes.
+            expect_payload_ledgers_equal(
+                inproc[static_cast<std::size_t>(r)].ledger, o.ledger);
+          }
+          // Real wire traffic whenever there is a peer to talk to.
+          if (g > 1) {
+            EXPECT_GT(o.ledger.wire_bytes_sent, 0u);
+            EXPECT_GT(o.ledger.real_comm_seconds, 0.0);
+          } else {
+            EXPECT_EQ(o.ledger.wire_bytes_sent, 0u);
+          }
         }
+        if (backend == CommBackend::InProcNet) inproc = got;
       }
     }
   }
 }
 
-// -- Trainer parity: thread vs message-passing backends ---------------
+TEST(TransportCommParity, SerialReferenceSeesTheFoldOrder) {
+  // The reference is only a check if these inputs make the addition
+  // order observable: a left-to-right sum by rank must differ from the
+  // ring fold somewhere.
+  const BatteryInputs in(4, 41);
+  const auto fold = ref::allreduce_sum(in.sum);
+  bool differs = false;
+  for (std::size_t j = 0; j < fold.size(); ++j) {
+    float serial = 0.0f;
+    for (const auto& x : in.sum) serial += x[j];
+    differs = differs || serial != fold[j];
+  }
+  EXPECT_TRUE(differs);
+}
+
+// -- Trainer parity: in-memory vs socketpair meshes -------------------
 
 std::vector<Index> tiny_corpus(Index vocab, std::size_t n,
                                std::uint64_t seed) {
@@ -445,9 +516,10 @@ std::vector<unsigned char> model_bytes(DistributedTrainer& trainer) {
   return out;
 }
 
-void expect_transport_matches_thread(
-    int gpus, WirePrecision wire, bool overlapped,
-    std::initializer_list<CommBackend> backends) {
+/// Trains the same model on an in-memory mesh and a socketpair mesh;
+/// the socket run must land on the in-memory run's bits.
+void expect_socket_matches_inproc(int gpus, WirePrecision wire,
+                                  bool overlapped) {
   const Index vocab = 50;
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
@@ -455,9 +527,8 @@ void expect_transport_matches_thread(
   std::vector<unsigned char> reference;
   double ref_train = 0.0, ref_valid = 0.0;
   TrafficLedger ref_ledger;
-  std::vector<CommBackend> all{CommBackend::SharedMem};
-  all.insert(all.end(), backends);
-  for (const CommBackend backend : all) {
+  for (const CommBackend backend :
+       {CommBackend::InProcNet, CommBackend::Socket}) {
     CommWorld::Options wopt;
     wopt.backend = backend;
     CommWorld world(gpus, wopt);
@@ -474,7 +545,7 @@ void expect_transport_matches_thread(
 
     const auto bytes = model_bytes(trainer);
     const TrafficLedger total = world.total_ledger();
-    if (backend == CommBackend::SharedMem) {
+    if (backend == CommBackend::InProcNet) {
       reference = bytes;
       ref_train = last.train_loss;
       ref_valid = last.valid_loss;
@@ -486,7 +557,7 @@ void expect_transport_matches_thread(
     EXPECT_EQ(last.valid_loss, ref_valid);
     ASSERT_EQ(bytes.size(), reference.size());
     EXPECT_EQ(0, std::memcmp(bytes.data(), reference.data(), bytes.size()))
-        << "transport backend diverged from threads at G=" << gpus;
+        << "socketpair mesh diverged from the in-memory mesh at G=" << gpus;
     // Same payload accounting, plus real wire traffic on top.
     expect_payload_ledgers_equal(ref_ledger, total);
     if (gpus > 1) {
@@ -496,25 +567,19 @@ void expect_transport_matches_thread(
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG1Fp32) {
-  expect_transport_matches_thread(
-      1, WirePrecision::FP32, false,
-      {CommBackend::InProcNet, CommBackend::Socket});
+  expect_socket_matches_inproc(1, WirePrecision::FP32, false);
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp32) {
-  expect_transport_matches_thread(
-      4, WirePrecision::FP32, false,
-      {CommBackend::InProcNet, CommBackend::Socket});
+  expect_socket_matches_inproc(4, WirePrecision::FP32, false);
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp16) {
-  expect_transport_matches_thread(4, WirePrecision::FP16, false,
-                                  {CommBackend::Socket});
+  expect_socket_matches_inproc(4, WirePrecision::FP16, false);
 }
 
 TEST(TransportTrainer, OverlappedExchangeOnSocketMatchesThread) {
-  expect_transport_matches_thread(4, WirePrecision::FP32, true,
-                                  {CommBackend::Socket});
+  expect_socket_matches_inproc(4, WirePrecision::FP32, true);
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ std::vector<A2AOutcome> run_alltoallv(CommBackend backend, int gpus) {
 TEST(AllToAllV, MovesExactBlocksOnEveryBackend) {
   const int gpus = 4;
   for (const CommBackend backend :
-       {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket}) {
+       {CommBackend::InProcNet, CommBackend::Socket}) {
     const auto outs = run_alltoallv(backend, gpus);
     for (int r = 0; r < gpus; ++r) {
       const auto& o = outs[static_cast<std::size_t>(r)];
@@ -146,28 +146,25 @@ TEST(AllToAllV, MovesExactBlocksOnEveryBackend) {
 
 TEST(AllToAllV, LedgerAndPayloadsIdenticalAcrossBackends) {
   for (const int gpus : {1, 4}) {
-    const auto ref = run_alltoallv(CommBackend::SharedMem, gpus);
-    for (const CommBackend backend :
-         {CommBackend::InProcNet, CommBackend::Socket}) {
-      const auto got = run_alltoallv(backend, gpus);
-      for (int r = 0; r < gpus; ++r) {
-        const auto& want = ref[static_cast<std::size_t>(r)];
-        const auto& have = got[static_cast<std::size_t>(r)];
-        EXPECT_EQ(want.out, have.out);
-        EXPECT_EQ(want.counts, have.counts);
-        EXPECT_EQ(want.ledger.bytes_sent, have.ledger.bytes_sent);
-        EXPECT_EQ(want.ledger.bytes_received, have.ledger.bytes_received);
-        EXPECT_EQ(want.ledger.alltoall_calls, have.ledger.alltoall_calls);
-        EXPECT_EQ(want.ledger.max_alltoall_payload_bytes,
-                  have.ledger.max_alltoall_payload_bytes);
-        EXPECT_EQ(want.ledger.max_collective_scratch_bytes,
-                  have.ledger.max_collective_scratch_bytes);
-        EXPECT_EQ(want.ledger.simulated_comm_seconds,
-                  have.ledger.simulated_comm_seconds);
-        if (gpus > 1) {
-          EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
-          EXPECT_EQ(want.ledger.wire_bytes_sent, 0u);
-        }
+    const auto want_all = run_alltoallv(CommBackend::InProcNet, gpus);
+    const auto have_all = run_alltoallv(CommBackend::Socket, gpus);
+    for (int r = 0; r < gpus; ++r) {
+      const auto& want = want_all[static_cast<std::size_t>(r)];
+      const auto& have = have_all[static_cast<std::size_t>(r)];
+      EXPECT_EQ(want.out, have.out);
+      EXPECT_EQ(want.counts, have.counts);
+      EXPECT_EQ(want.ledger.bytes_sent, have.ledger.bytes_sent);
+      EXPECT_EQ(want.ledger.bytes_received, have.ledger.bytes_received);
+      EXPECT_EQ(want.ledger.alltoall_calls, have.ledger.alltoall_calls);
+      EXPECT_EQ(want.ledger.max_alltoall_payload_bytes,
+                have.ledger.max_alltoall_payload_bytes);
+      EXPECT_EQ(want.ledger.max_collective_scratch_bytes,
+                have.ledger.max_collective_scratch_bytes);
+      EXPECT_EQ(want.ledger.simulated_comm_seconds,
+                have.ledger.simulated_comm_seconds);
+      if (gpus > 1) {
+        EXPECT_GT(have.ledger.wire_bytes_sent, 0u);
+        EXPECT_GT(want.ledger.wire_bytes_sent, 0u);
       }
     }
   }
@@ -353,7 +350,7 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
 
-  // Replicated oracle on the shared-memory backend.
+  // Replicated oracle on the default (in-memory) mesh.
   double ref_train = 0.0, ref_valid = 0.0;
   std::vector<unsigned char> ref_table, ref_dense;
   {
@@ -400,26 +397,26 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG1AllBackends) {
   expect_sharded_matches_replicated(
       1, WireCodec::None, false, false,
-      {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::InProcNet, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG4AllBackends) {
   expect_sharded_matches_replicated(
       4, WireCodec::None, false, false,
-      {CommBackend::SharedMem, CommBackend::InProcNet, CommBackend::Socket});
+      {CommBackend::InProcNet, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, PackedRowCodecStaysBitwise) {
   // Packed is lossless, so the coded sharded run still equals the raw
   // replicated oracle; the index legs ride the varint codec.
   expect_sharded_matches_replicated(4, WireCodec::Packed, true, false,
-                                    {CommBackend::SharedMem,
+                                    {CommBackend::InProcNet,
                                      CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {
   expect_sharded_matches_replicated(4, WireCodec::None, false, true,
-                                    {CommBackend::SharedMem});
+                                    {CommBackend::InProcNet});
 }
 
 // -- Sharded checkpoints ----------------------------------------------

@@ -3,9 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
-#include <thread>
 
-#include "zipflm/support/barrier.hpp"
 #include "zipflm/support/error.hpp"
 #include "zipflm/support/format.hpp"
 #include "zipflm/support/rng.hpp"
@@ -71,59 +69,6 @@ TEST(Rng, ForkIsIndependentAndDeterministic) {
   EXPECT_NE(a(), b());
   Rng a3 = Rng::fork(100, 0);
   EXPECT_EQ(a2(), a3());
-}
-
-TEST(Barrier, SynchronizesThreads) {
-  const int n = 8;
-  CyclicBarrier barrier(n);
-  std::atomic<int> counter{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> failed{false};
-  for (int i = 0; i < n; ++i) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < 50; ++round) {
-        ++counter;
-        barrier.arrive_and_wait();
-        // After the barrier, every thread of this round has arrived.
-        if (counter.load() < (round + 1) * n) failed = true;
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(counter.load(), 50 * n);
-}
-
-TEST(Barrier, AbortWakesWaiters) {
-  CyclicBarrier barrier(2);
-  std::atomic<bool> threw{false};
-  std::thread waiter([&] {
-    try {
-      barrier.arrive_and_wait();
-    } catch (const BarrierAborted&) {
-      threw = true;
-    }
-  });
-  // Give the waiter time to block, then abort.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  barrier.abort();
-  waiter.join();
-  EXPECT_TRUE(threw.load());
-  EXPECT_THROW(barrier.arrive_and_wait(), BarrierAborted);
-  barrier.reset();
-}
-
-TEST(Barrier, GenerationIsSharedPerCrossing) {
-  CyclicBarrier barrier(3);
-  std::vector<std::uint64_t> gens(3);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&, i] { gens[static_cast<std::size_t>(i)] = barrier.arrive_and_wait(); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(gens[0], gens[1]);
-  EXPECT_EQ(gens[1], gens[2]);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

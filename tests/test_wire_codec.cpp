@@ -6,9 +6,9 @@
 //    int64 extremes, denormals, and NaN bit patterns;
 //  * INT8 is deterministic (same bytes in, same bytes out) and its
 //    vector kernels are bitwise identical to the scalar fallbacks;
-//  * a coded allreduce produces the same bits on the SharedMem,
-//    InProcNet, and Socket backends, and the lossless codec reproduces
-//    the raw path exactly;
+//  * a coded allreduce produces the serial reference's bits
+//    (collective_reference.hpp) on the InProcNet and Socket backends,
+//    and the lossless codec reproduces the raw path exactly;
 //  * ranks arming different codecs fail loudly.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,8 @@
 #include "zipflm/support/rng.hpp"
 #include "zipflm/tensor/pack.hpp"
 #include "zipflm/tensor/simd.hpp"
+
+#include "collective_reference.hpp"
 
 namespace zipflm {
 namespace {
@@ -92,10 +94,11 @@ std::vector<T> roundtrip_grad(WireCodec codec, const std::vector<T>& in) {
   return out;
 }
 
-bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
   if (a.size() != b.size()) return false;
   return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 TEST(PackedCodec, LosslessOverEdgeFloatPayloads) {
@@ -237,58 +240,91 @@ TEST_F(CodecBackendParity, VectorKernelsMatchScalarBitwise) {
 
 // -- Coded collectives ------------------------------------------------------
 
-std::vector<std::vector<float>> run_allreduce(CommBackend backend, int g,
-                                              std::size_t n, WireCodec codec) {
+namespace ref = collective_reference;
+
+/// Every rank's allreduce input for a world of g ranks.
+template <typename T>
+ref::PerRank<T> allreduce_inputs(int g, std::size_t n) {
+  ref::PerRank<T> in(static_cast<std::size_t>(g));
+  for (int r = 0; r < g; ++r) {
+    Rng rng(900 + static_cast<std::uint64_t>(r));
+    for (std::size_t j = 0; j < n; ++j) {
+      in[static_cast<std::size_t>(r)].push_back(
+          T(static_cast<float>(rng.uniform(-1.0, 1.0))));
+    }
+  }
+  return in;
+}
+
+template <typename T>
+ref::PerRank<T> run_allreduce(CommBackend backend, const ref::PerRank<T>& in,
+                              WireCodec codec) {
   CommWorld::Options opts;
   opts.backend = backend;
-  CommWorld world(g, opts);
-  std::vector<std::vector<float>> results(static_cast<std::size_t>(g));
+  CommWorld world(static_cast<int>(in.size()), opts);
+  ref::PerRank<T> results(in.size());
   world.run([&](Communicator& comm) {
-    std::vector<float> data(n);
-    Rng rng(900 + static_cast<std::uint64_t>(comm.rank()));
-    for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const auto r = static_cast<std::size_t>(comm.rank());
+    std::vector<T> data = in[r];
     WireCodecScope scope(comm, codec);
-    comm.allreduce_sum(std::span<float>(data));
-    results[static_cast<std::size_t>(comm.rank())] = data;
+    comm.allreduce_sum(std::span<T>(data));
+    results[r] = data;
   });
   return results;
 }
 
+constexpr CommBackend kBackends[] = {CommBackend::InProcNet,
+                                     CommBackend::Socket};
+
 class CodedWorlds : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Worlds, CodedWorlds, ::testing::Values(2, 3, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Worlds, CodedWorlds,
+                         ::testing::Values(1, 2, 3, 4, 8));
 
 TEST_P(CodedWorlds, PackedAllreduceBitwiseEqualsRaw) {
   const int g = GetParam();
-  for (const std::size_t n : {std::size_t{1}, std::size_t{63},
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                               std::size_t{1000}}) {
-    const auto raw = run_allreduce(CommBackend::SharedMem, g, n,
-                                   WireCodec::None);
-    const auto packed = run_allreduce(CommBackend::SharedMem, g, n,
-                                      WireCodec::Packed);
-    for (int r = 0; r < g; ++r) {
-      EXPECT_TRUE(bitwise_equal(raw[static_cast<std::size_t>(r)],
-                                packed[static_cast<std::size_t>(r)]))
-          << "world=" << g << " n=" << n << " rank=" << r;
+    const auto in = allreduce_inputs<float>(g, n);
+    const auto want = ref::allreduce_sum(in);
+    for (const CommBackend backend : kBackends) {
+      const auto raw = run_allreduce(backend, in, WireCodec::None);
+      const auto packed = run_allreduce(backend, in, WireCodec::Packed);
+      for (int r = 0; r < g; ++r) {
+        EXPECT_TRUE(bitwise_equal(raw[static_cast<std::size_t>(r)], want))
+            << "world=" << g << " n=" << n << " rank=" << r;
+        EXPECT_TRUE(
+            bitwise_equal(packed[static_cast<std::size_t>(r)], want))
+            << "world=" << g << " n=" << n << " rank=" << r;
+      }
     }
   }
 }
 
 TEST_P(CodedWorlds, CodedAllreduceIdenticalAcrossBackends) {
+  // Every rank of both meshes lands on the serial reference's bits —
+  // the owner included, since coded phase 2 hands all ranks the decode
+  // of one shared encoding.
   const int g = GetParam();
-  const std::size_t n = 513;
-  for (const WireCodec codec : {WireCodec::Packed, WireCodec::Int8}) {
-    const auto shared = run_allreduce(CommBackend::SharedMem, g, n, codec);
-    const auto inproc = run_allreduce(CommBackend::InProcNet, g, n, codec);
-    for (int r = 0; r < g; ++r) {
-      EXPECT_TRUE(bitwise_equal(shared[static_cast<std::size_t>(r)],
-                                inproc[static_cast<std::size_t>(r)]))
-          << wire_codec_name(codec) << " world=" << g << " rank=" << r;
-    }
-    // Every rank must agree with every other (coded phase 2 hands all
-    // ranks, the owner included, the decode of one shared encoding).
-    for (int r = 1; r < g; ++r) {
-      EXPECT_TRUE(bitwise_equal(shared[0],
-                                shared[static_cast<std::size_t>(r)]));
+  for (const std::size_t n : {std::size_t{0}, std::size_t{7},
+                              std::size_t{513}}) {
+    const auto in = allreduce_inputs<float>(g, n);
+    const auto in_half = allreduce_inputs<Half>(g, n);
+    for (const WireCodec codec : {WireCodec::Packed, WireCodec::Int8}) {
+      const auto want = ref::allreduce_sum(in, codec);
+      const auto want_half = ref::allreduce_sum(in_half, codec);
+      for (const CommBackend backend : kBackends) {
+        const auto got = run_allreduce(backend, in, codec);
+        const auto got_half = run_allreduce(backend, in_half, codec);
+        for (int r = 0; r < g; ++r) {
+          EXPECT_TRUE(bitwise_equal(got[static_cast<std::size_t>(r)], want))
+              << wire_codec_name(codec) << " world=" << g << " n=" << n
+              << " rank=" << r;
+          EXPECT_TRUE(bitwise_equal(got_half[static_cast<std::size_t>(r)],
+                                        want_half))
+              << wire_codec_name(codec) << " FP16 world=" << g << " n=" << n
+              << " rank=" << r;
+        }
+      }
     }
   }
 }
@@ -296,9 +332,9 @@ TEST_P(CodedWorlds, CodedAllreduceIdenticalAcrossBackends) {
 TEST(CodedCollectives, Int8ApproximatesRawSum) {
   const int g = 4;
   const std::size_t n = 2048;
-  const auto raw = run_allreduce(CommBackend::SharedMem, g, n, WireCodec::None);
-  const auto int8 = run_allreduce(CommBackend::SharedMem, g, n,
-                                  WireCodec::Int8);
+  const auto in = allreduce_inputs<float>(g, n);
+  const auto raw = run_allreduce(CommBackend::InProcNet, in, WireCodec::None);
+  const auto int8 = run_allreduce(CommBackend::InProcNet, in, WireCodec::Int8);
   double max_err = 0.0, max_mag = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     max_err = std::max(max_err,

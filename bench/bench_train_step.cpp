@@ -6,8 +6,9 @@
 // Default world size is 1 (the *local* per-step cost — kernels + local
 // reduce + scatter + Adam, the paper's Θ(G·K + U_g·D) constant factor);
 // --gpus N runs N simulated ranks through the full wire path with the
-// overlapped bucketed dense exchange (--overlap off for the synchronous
-// reference).  Throughput is aggregate: tokens_per_rank x ranks.  FP16
+// overlapped bucketed dense exchange (--overlap off runs the same
+// buckets on an inline engine: no comm thread, nothing hidden, same
+// bytes).  Throughput is aggregate: tokens_per_rank x ranks.  FP16
 // wire precision is kept on so the compression-scaling casts stay in
 // the measured path.
 //

@@ -18,12 +18,13 @@
 //
 // Fault tolerance: a FaultPlan injects rank failures at a chosen
 // collective call — Kill (the rank silently stops participating, like a
-// crashed process), Delay (a straggler), or Corrupt (the rank's payload
-// is poisoned on the wire).  A killed rank closes its endpoints, so it
-// surfaces as CollectiveTimeoutError on every survivor at once (no
-// collective timeout needed), the dead rank is retired from the world,
-// and the next run() proceeds over the survivors only.  A collective
-// timeout bounds the wait on a straggler.
+// crashed process), Delay (a straggler), or Corrupt (the rank's
+// contribution to a floating-point allreduce is poisoned with NaNs).  A
+// killed rank closes its endpoints, so it surfaces as
+// CollectiveTimeoutError on every survivor at once (no collective
+// timeout needed), the dead rank is retired from the world, and the
+// next run() proceeds over the survivors only.  A collective timeout
+// bounds the wait on a straggler.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,19 @@ struct TransportFault;
 enum class FaultKind : std::uint8_t {
   Kill,     ///< rank stops participating (no abort, no exception escapes)
   Delay,    ///< rank sleeps delay_seconds before the collective
-  Corrupt,  ///< rank's contribution is overwritten with NaN bytes
+  /// The rank's contribution to its first floating-point allreduce (FP32
+  /// or FP16 sum, or max) at or after `at_collective` is overwritten
+  /// with 0xFF (NaN) bytes.  Only float payloads can carry a NaN, so a
+  /// Corrupt landing on a barrier, an allgather(v), an alltoallv or a
+  /// broadcast waits for the next float allreduce and leaves those
+  /// collectives intact.
+  Corrupt,
 };
 
 /// One injected fault: fires when `rank` enters its `at_collective`-th
 /// collective call (0-based, counted per rank across the world's whole
-/// lifetime, sub-communicator calls included), then disarms.
+/// lifetime, sub-communicator calls included), then disarms.  Corrupt
+/// fires at the first floating-point allreduce from that call on.
 struct FaultEvent {
   int rank = -1;
   FaultKind kind = FaultKind::Kill;
@@ -134,9 +142,10 @@ class CommWorld {
 
  private:
   /// Advance `global_rank`'s collective counter and return the fault (if
-  /// any) scheduled for this call — the fault hook of every
-  /// communicator of that rank.  Called only from that rank's thread.
-  TransportFault next_fault(int global_rank);
+  /// any) due at this call — the fault hook of every communicator of
+  /// that rank.  Called only from the thread currently driving that
+  /// rank's collectives.
+  TransportFault next_fault(int global_rank, bool float_allreduce);
 
   /// Epilogue of run(): retire died ranks (re-forming the survivors
   /// into a flat single-node topology, as NCCL re-forms a communicator
@@ -158,6 +167,8 @@ class CommWorld {
   /// touches its flag during run() (next_fault filters on rank first).
   std::vector<std::uint8_t> plan_consumed_;
   std::vector<std::uint64_t> fault_cursor_;  ///< per-rank collective count
+  /// Per rank: a Corrupt has fired and waits for a float allreduce.
+  std::vector<std::uint8_t> corrupt_armed_;
 };
 
 }  // namespace zipflm

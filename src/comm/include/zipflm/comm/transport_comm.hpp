@@ -47,9 +47,10 @@ class TransportComm final : public Communicator {
   struct Hooks {
     TrafficLedger* ledger = nullptr;  ///< required: payload accounting sink
     const CostModel* cost = nullptr;  ///< required: simulated-seconds pricing
-    /// Optional fault hook, polled at the head of every collective
+    /// Optional fault hook, polled at the head of every collective with
+    /// whether it is a floating-point allreduce with a non-empty payload
     /// (CommWorld wires its FaultPlan through this).
-    std::function<TransportFault()> fault;
+    std::function<TransportFault(bool float_allreduce)> fault;
     /// Id used for the SimulatedRankDeath signal and trace lanes; equals
     /// rank() except in a degraded world with retired ranks.
     int global_rank = 0;
@@ -137,10 +138,11 @@ class TransportComm final : public Communicator {
   };
 
   /// Fault hook at the head of every collective: Kill throws
-  /// SimulatedRankDeath, Delay sleeps, Corrupt poisons the rank's own
-  /// contribution with 0xFF bytes (deferred via pending_corrupt_ when no
-  /// buffer exists yet).
-  void enter_collective(std::byte* buf, std::size_t bytes);
+  /// SimulatedRankDeath, Delay sleeps, Corrupt overwrites
+  /// `float_payload` — the rank's own contribution to a floating-point
+  /// allreduce, empty for every other collective — with 0xFF (NaN)
+  /// bytes.
+  void enter_collective(std::span<std::byte> float_payload = {});
 
   /// Exchange WireHeaders with the ring neighbours and validate the
   /// left neighbour agrees on (op, bytes, root, seq, codec).  Advances
@@ -178,7 +180,6 @@ class TransportComm final : public Communicator {
   std::uint32_t seq_ = 0;  ///< collective counter, validated peer-to-peer
   WireCodec codec_ = WireCodec::None;
   double last_codec_ratio_ = 0.0;
-  bool pending_corrupt_ = false;
 };
 
 }  // namespace zipflm

@@ -43,7 +43,8 @@ CommWorld::CommWorld(int world_size, Options options)
       cost_(options.cost),
       backend_(options.backend),
       ledgers_(static_cast<std::size_t>(world_size)),
-      fault_cursor_(static_cast<std::size_t>(world_size), 0) {
+      fault_cursor_(static_cast<std::size_t>(world_size), 0),
+      corrupt_armed_(static_cast<std::size_t>(world_size), 0) {
   ZIPFLM_CHECK(world_size > 0, "world size must be positive");
   ZIPFLM_CHECK(topo_.world_size() == world_size,
                "topology must match world size");
@@ -63,6 +64,7 @@ void CommWorld::inject_faults(FaultPlan plan) {
   }
   plan_ = std::move(plan);
   plan_consumed_.assign(plan_.events.size(), 0);
+  std::fill(corrupt_armed_.begin(), corrupt_armed_.end(), 0);
 }
 
 void CommWorld::set_collective_timeout(double seconds) {
@@ -70,11 +72,12 @@ void CommWorld::set_collective_timeout(double seconds) {
   timeout_seconds_ = seconds;
 }
 
-TransportFault CommWorld::next_fault(int global_rank) {
-  // Only global_rank's own thread calls this, so the cursor needs no
-  // synchronization; the plan itself is immutable during run().
-  const std::uint64_t call =
-      fault_cursor_[static_cast<std::size_t>(global_rank)]++;
+TransportFault CommWorld::next_fault(int global_rank, bool float_allreduce) {
+  // Only one thread at a time drives global_rank's collectives (its own,
+  // or its comm thread behind the engine's queue mutex), so the per-rank
+  // state needs no synchronization; the plan is immutable during run().
+  const auto gr = static_cast<std::size_t>(global_rank);
+  const std::uint64_t call = fault_cursor_[gr]++;
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
     // Filter on rank FIRST: a consumed flag is then only ever touched
@@ -84,7 +87,15 @@ TransportFault CommWorld::next_fault(int global_rank) {
       continue;
     }
     plan_consumed_[i] = 1;
-    return TransportFault{e.kind, e.delay_seconds, true};
+    if (e.kind != FaultKind::Corrupt) {
+      return TransportFault{e.kind, e.delay_seconds, true};
+    }
+    corrupt_armed_[gr] = 1;
+    break;
+  }
+  if (float_allreduce && corrupt_armed_[gr] != 0) {
+    corrupt_armed_[gr] = 0;
+    return TransportFault{FaultKind::Corrupt, 0.0, true};
   }
   return TransportFault{};
 }
@@ -134,7 +145,9 @@ void CommWorld::run(const std::function<void(Communicator&)>& fn) {
       hooks.ledger = &ledgers_[static_cast<std::size_t>(global)];
       hooks.cost = &cost_;
       hooks.global_rank = global;
-      hooks.fault = [this, global] { return next_fault(global); };
+      hooks.fault = [this, global](bool float_allreduce) {
+        return next_fault(global, float_allreduce);
+      };
       std::optional<TransportComm> leader_comm;
       if (leader_ep != nullptr) {
         leader_comm.emplace(*leader_ep, Topology{topo_.nodes, 1}, hooks);

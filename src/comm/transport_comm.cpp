@@ -18,10 +18,6 @@ using comm_internal::wrap;
 
 namespace {
 constexpr std::uint32_t kCollMagic = 0x5A4C4331;  // "ZLC1"
-
-void poison(std::byte* buf, std::size_t bytes) {
-  if (buf != nullptr && bytes != 0) std::memset(buf, 0xFF, bytes);
-}
 }  // namespace
 
 TransportComm::TransportComm(net::Transport& transport, Topology topo,
@@ -61,9 +57,9 @@ TransportComm::WireScope::~WireScope() {
   if (recv_wait > 0.0) m.net_recv_wait.record(recv_wait);
 }
 
-void TransportComm::enter_collective(std::byte* buf, std::size_t bytes) {
+void TransportComm::enter_collective(std::span<std::byte> float_payload) {
   if (!hooks_.fault) return;
-  const TransportFault act = hooks_.fault();
+  const TransportFault act = hooks_.fault(!float_payload.empty());
   if (!act.armed) return;
   switch (act.kind) {
     case FaultKind::Kill:
@@ -73,11 +69,7 @@ void TransportComm::enter_collective(std::byte* buf, std::size_t bytes) {
           std::chrono::duration<double>(act.delay_seconds));
       break;
     case FaultKind::Corrupt:
-      if (buf != nullptr) {
-        poison(buf, bytes);
-      } else {
-        pending_corrupt_ = true;  // applied once a buffer exists
-      }
+      std::memset(float_payload.data(), 0xFF, float_payload.size());
       break;
   }
 }
@@ -157,7 +149,7 @@ void TransportComm::rethrow_as_collective(const char* coll) {
 
 void TransportComm::barrier() {
   obs::SpanScope span("barrier");
-  enter_collective(nullptr, 0);
+  enter_collective();
   WireScope wire(*this);
   try {
     // Dissemination barrier: after round k every rank has (transitively)
@@ -285,7 +277,7 @@ void TransportComm::ring_allreduce(std::span<T> data, CollOp op,
   const int g = world_size();
   const std::size_t payload = data.size() * sizeof(T);
   obs::SpanScope span(op_name, "payload_bytes", static_cast<double>(payload));
-  enter_collective(reinterpret_cast<std::byte*>(data.data()), payload);
+  enter_collective(std::as_writable_bytes(data));
   WireScope wire(*this);
   try {
     neighbor_handshake(op, payload, -1, codec);
@@ -419,7 +411,7 @@ void TransportComm::allgather_bytes(std::span<const std::byte> local,
     std::memcpy(out.data() + static_cast<std::size_t>(rank()) * b,
                 local.data(), b);
   }
-  enter_collective(out.data() + static_cast<std::size_t>(rank()) * b, b);
+  enter_collective();
   WireScope wire(*this);
   try {
     neighbor_handshake(CollOp::AllGather, b, -1);
@@ -469,7 +461,7 @@ void TransportComm::allgatherv_bytes(std::span<const std::byte> local,
   const int g = world_size();
   obs::SpanScope span("allgatherv", "payload_bytes",
                       static_cast<double>(local.size()));
-  enter_collective(nullptr, 0);  // own block poisoned after staging below
+  enter_collective();
   WireScope wire(*this);
   std::uint64_t moved = 0;
   std::size_t max_block = 0;
@@ -504,11 +496,6 @@ void TransportComm::allgatherv_bytes(std::span<const std::byte> local,
     if (!local.empty()) {
       std::memcpy(out.data() + offsets[static_cast<std::size_t>(rank())],
                   local.data(), local.size());
-    }
-    if (pending_corrupt_) {
-      pending_corrupt_ = false;
-      poison(out.data() + offsets[static_cast<std::size_t>(rank())],
-             local.size());
     }
     // Phase 2: forward the variably-sized blocks around the ring, each
     // landing straight at its final offset.
@@ -569,17 +556,13 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
                "alltoallv send counts must sum to the payload size");
   obs::SpanScope span("alltoallv", "payload_bytes",
                       static_cast<double>(send.size()));
-  // Stage the outgoing concatenation so a Corrupt fault poisons this
-  // rank's contribution (the self block included) without touching the
-  // caller's buffer.
-  std::vector<std::byte> staged(send.begin(), send.end());
   std::vector<std::size_t> send_off(static_cast<std::size_t>(g) + 1, 0);
   for (int d = 0; d < g; ++d) {
     send_off[static_cast<std::size_t>(d) + 1] =
         send_off[static_cast<std::size_t>(d)] +
         send_counts[static_cast<std::size_t>(d)];
   }
-  enter_collective(staged.data(), staged.size());
+  enter_collective();
   WireScope wire(*this);
   try {
     neighbor_handshake(CollOp::AllToAllV, kIgnoreBytes, -1);
@@ -610,7 +593,7 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
     out.assign(offsets.back(), std::byte{});
     const std::size_t self = static_cast<std::size_t>(rank());
     if (recv_counts[self] != 0) {
-      std::memcpy(out.data() + offsets[self], staged.data() + send_off[self],
+      std::memcpy(out.data() + offsets[self], send.data() + send_off[self],
                   recv_counts[self]);
     }
     // Phase 2: pairwise payload blocks over the same distance schedule,
@@ -620,8 +603,7 @@ void TransportComm::alltoallv_bytes(std::span<const std::byte> send,
       const auto from = static_cast<std::size_t>(wrap(rank() - s, g));
       auto sent = transport_.send(
           static_cast<int>(to),
-          std::span<const std::byte>(staged.data() + send_off[to],
-                                     send_counts[to]));
+          send.subspan(send_off[to], send_counts[to]));
       auto got = transport_.recv(
           static_cast<int>(from),
           std::span<std::byte>(out.data() + offsets[from], recv_counts[from]));
@@ -675,7 +657,7 @@ void TransportComm::broadcast_bytes(std::span<std::byte> data, int root) {
   ZIPFLM_CHECK(root >= 0 && root < g, "broadcast root out of range");
   obs::SpanScope span("broadcast", "payload_bytes",
                       static_cast<double>(data.size()));
-  enter_collective(rank() == root ? data.data() : nullptr, data.size());
+  enter_collective();
   WireScope wire(*this);
   try {
     neighbor_handshake(CollOp::Broadcast, data.size(), root);

@@ -1,8 +1,6 @@
 #include "zipflm/core/grad_sync.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
 
 #include "zipflm/comm/hierarchical.hpp"
 #include "zipflm/support/error.hpp"
@@ -21,32 +19,6 @@ void allreduce(Communicator& comm, std::span<T> data, bool hierarchical) {
   }
 }
 }  // namespace
-
-void DenseGradSync::sync(Communicator& comm, std::span<Param* const> params,
-                         const ExchangeOptions* override_opts) const {
-  const ExchangeOptions& opts =
-      override_opts != nullptr ? *override_opts : options_;
-  WireCodecScope codec_scope(comm, opts.codec);
-  const float inv_world = 1.0f / static_cast<float>(comm.world_size());
-  for (Param* p : params) {
-    if (comm.world_size() > 1) {
-      if (opts.precision == WirePrecision::FP32) {
-        allreduce<float>(comm, p->grad.data(),
-                         opts.hierarchical_allreduce);
-      } else {
-        std::vector<Half> wire;
-        compress_fp16(p->grad.data(), opts.compression_scale, wire);
-        allreduce<Half>(comm, std::span<Half>(wire),
-                        opts.hierarchical_allreduce);
-        std::vector<float> up;
-        decompress_fp16(wire, opts.compression_scale, up);
-        std::memcpy(p->grad.data().data(), up.data(),
-                    up.size() * sizeof(float));
-      }
-    }
-    scale(p->grad, inv_world);
-  }
-}
 
 void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
   plan_.clear();
@@ -72,7 +44,7 @@ void DenseGradSync::rebuild_plan(std::span<Param* const> params) {
   }
 }
 
-void DenseGradSync::begin_step(Communicator& comm, AsyncCommEngine& engine,
+void DenseGradSync::begin_step(Communicator& /*comm*/, AsyncCommEngine& engine,
                                std::span<Param* const> params) {
   ZIPFLM_CHECK(engine_ == nullptr,
                "begin_step while a previous step is still armed");
@@ -86,7 +58,6 @@ void DenseGradSync::begin_step(Communicator& comm, AsyncCommEngine& engine,
     b.launched = false;
   }
   engine_ = &engine;
-  world_ = comm.world_size();
 }
 
 void DenseGradSync::notify_ready(const Param* param) {
@@ -109,31 +80,31 @@ void DenseGradSync::launch_bucket(std::size_t index) {
 }
 
 void DenseGradSync::run_bucket(Communicator& comm, std::size_t index) {
+  // A single rank's gradient is already its own average: no wire, and
+  // no pass over every gradient to multiply it by 1.
+  if (comm.world_size() == 1) return;
   Bucket& b = plan_[index];
   WireCodecScope codec_scope(comm, options_.codec);
   const float inv_world = 1.0f / static_cast<float>(comm.world_size());
-  // One collective per parameter, in plan order — the exact loop body of
-  // sync().  A concatenated bucket-wide allreduce would shift the ring
-  // chunk boundaries and with them each element's cross-rank summation
-  // order, so overlap on/off would stop being bitwise identical; keeping
-  // the wire schedule per-parameter also keeps the collective count (and
-  // so every FaultSpec::at_collective index) independent of bucketing.
-  // The bucket is purely the launch granularity: one engine job covering
-  // every parameter whose gradient finalized together.
+  // One collective per parameter, in plan order.  A concatenated
+  // bucket-wide allreduce would shift the ring chunk boundaries with the
+  // bucket size, and with them each element's cross-rank summation
+  // order; keeping the wire schedule per-parameter also keeps the
+  // collective count (and so every FaultEvent::at_collective index)
+  // independent of bucketing.  The bucket is purely the launch
+  // granularity: one engine job covering every parameter whose gradient
+  // finalized together.
   for (Param* p : b.params) {
-    if (comm.world_size() > 1) {
-      auto g = p->grad.data();
-      if (options_.precision == WirePrecision::FP32) {
-        allreduce<float>(comm, g, options_.hierarchical_allreduce);
-      } else {
-        // Reduce straight out of / into the gradient buffer: identical
-        // bytes to sync()'s staged copies, minus the two big memcpys.
-        compress_fp16(g, options_.compression_scale, b.wire);
-        allreduce<Half>(comm, std::span<Half>(b.wire),
-                        options_.hierarchical_allreduce);
-        decompress_fp16(b.wire, options_.compression_scale,
-                        std::span<float>(g));
-      }
+    auto g = p->grad.data();
+    if (options_.precision == WirePrecision::FP32) {
+      allreduce<float>(comm, g, options_.hierarchical_allreduce);
+    } else {
+      // Reduce straight out of / into the gradient buffer.
+      compress_fp16(g, options_.compression_scale, b.wire);
+      allreduce<Half>(comm, std::span<Half>(b.wire),
+                      options_.hierarchical_allreduce);
+      decompress_fp16(b.wire, options_.compression_scale,
+                      std::span<float>(g));
     }
     scale(p->grad, inv_world);
   }

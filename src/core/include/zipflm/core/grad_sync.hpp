@@ -2,24 +2,17 @@
 // of Section II-B), with optional FP16 compression-scaling on the wire
 // (Section III-C).
 //
-// Two modes:
-//
-//  * sync() — the classic synchronous path: one allreduce per parameter
-//    after backprop has fully finished.  Byte-for-byte the pre-overlap
-//    behavior; the fault-injection suites (which count collectives per
-//    step) and existing training trajectories ride on it unchanged.
-//  * begin_step()/notify_ready()/finish() — the overlapped path: the
-//    dense parameters are grouped into fixed-byte buckets in
-//    reverse-backprop order (last layer first), and a bucket's
-//    collectives are handed to a per-rank AsyncCommEngine the moment
-//    its last parameter's backward completes, so wire time hides under
-//    the remaining backward compute.  Buckets batch the LAUNCH, not
-//    the wire: inside a bucket each parameter still runs its own
-//    allreduce, in plan order — the exact collective sequence sync()
-//    issues — so overlap on/off/legacy are bitwise identical and
-//    fault-injection collective indices are stable.  Bucket boundaries
-//    depend only on the parameter list and bucket_bytes — never on
-//    timing.
+// One path: begin_step()/notify_ready()/finish().  The dense parameters
+// are grouped into fixed-byte buckets in reverse-backprop order (last
+// layer first), and a bucket's collectives are handed to a per-rank
+// AsyncCommEngine the moment its last parameter's backward completes,
+// so wire time hides under the remaining backward compute (on a
+// single-hardware-thread host the engine runs each bucket inline at
+// launch).  Buckets batch the LAUNCH, not the wire: inside a bucket
+// each parameter still runs its own allreduce, in plan order, so the
+// reduced bytes and the collective count never depend on the bucket
+// size.  Bucket boundaries depend only on the parameter list and
+// bucket_bytes — never on timing.
 #pragma once
 
 #include <cstddef>
@@ -37,37 +30,23 @@ namespace zipflm {
 
 class DenseGradSync {
  public:
-  explicit DenseGradSync(ExchangeOptions options = {}) : options_(options) {}
-
-  /// ALLREDUCE-sum each parameter's gradient and divide by world size
-  /// (data-parallel averaging).  FP16 mode down-casts with
+  /// Each bucket ALLREDUCE-sums its parameters' gradients and divides
+  /// by world size (data-parallel averaging).  FP16 mode down-casts with
   /// compression-scaling before the wire and up-casts after; a gradient
   /// wire codec in the options is armed around the allreduces.
-  /// `override_opts`, when non-null, replaces the constructed options
-  /// for this call only — the adaptive wire-format selector's hook on
-  /// the non-overlapped path.
-  void sync(Communicator& comm, std::span<Param* const> params,
-            const ExchangeOptions* override_opts = nullptr) const;
+  explicit DenseGradSync(ExchangeOptions options = {}) : options_(options) {}
 
   /// Re-point the wire options (precision / codec / scale) for
-  /// subsequent steps — the adaptive selector's hook on the overlapped
-  /// path, called per rank before begin_step.  Must not be called while
-  /// a step is armed.
+  /// subsequent steps — the adaptive selector's hook, called per rank
+  /// before begin_step.  Must not be called while a step is armed.
   void set_wire_options(const ExchangeOptions& options) noexcept {
     options_ = options;
   }
-
-  // -- Overlapped bucketed path ---------------------------------------
-
-  /// Jobs run inline at submit when off (the bitwise-reference mode).
-  void set_overlap(bool on) noexcept { overlap_ = on; }
-  bool overlap() const noexcept { return overlap_; }
 
   /// Target bucket payload (bytes of FP32 gradient).  Buckets are
   /// parameter-granular: a parameter larger than the target gets its
   /// own bucket.  Takes effect at the next begin_step.
   void set_bucket_bytes(std::size_t bytes) noexcept { bucket_bytes_ = bytes; }
-  std::size_t bucket_bytes() const noexcept { return bucket_bytes_; }
 
   /// Arm one step: (re)build the bucket plan over reverse(params) —
   /// reverse-backprop order, so bucket 0 holds the parameters whose
@@ -85,7 +64,7 @@ class DenseGradSync {
 
   /// Launch any buckets still incomplete (in plan order), drain the
   /// engine, and disarm.  After this every gradient in `params` is the
-  /// world-averaged value, exactly as sync() would have left it.
+  /// world-averaged value.
   void finish();
 
   /// Buckets in the current (cached) plan — 0 before any begin_step.
@@ -95,8 +74,6 @@ class DenseGradSync {
   /// (e.g. a rank death unwinding the epoch), where the engine is about
   /// to be destroyed anyway.  No-op when not armed.
   void disarm() noexcept { engine_ = nullptr; }
-
-  const ExchangeOptions& options() const noexcept { return options_; }
 
  private:
   struct Bucket {
@@ -116,7 +93,6 @@ class DenseGradSync {
   void run_bucket(Communicator& comm, std::size_t index);
 
   ExchangeOptions options_;
-  bool overlap_ = true;
   std::size_t bucket_bytes_ = std::size_t{4} << 20;
 
   std::vector<Bucket> plan_;
@@ -124,7 +100,6 @@ class DenseGradSync {
   std::size_t plan_bucket_bytes_ = 0;
   std::unordered_map<const Param*, std::size_t> bucket_of_;
   AsyncCommEngine* engine_ = nullptr;  ///< non-null while armed
-  int world_ = 1;
 };
 
 }  // namespace zipflm

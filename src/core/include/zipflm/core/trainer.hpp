@@ -62,8 +62,8 @@ struct TrainerOptions {
   bool use_adam = false;          ///< Adam for char LM, SGD for word LM
   std::uint64_t seed = 42;
 
+  /// Simulated GPU; its default_efficiency prices the compute seconds.
   DeviceProps device = DeviceProps::titan_x();
-  double compute_efficiency = 0.4;  ///< fraction of peak FLOP/s achieved
   /// Charge model + activations against the simulated pool (disable for
   /// tiny unit-test models where the accounting is noise).
   bool charge_static_memory = true;
@@ -72,8 +72,8 @@ struct TrainerOptions {
   /// deterministically skips the optimizer step and backs the scale off
   /// instead of poisoning the weights.  Off by default — the guard scans
   /// every gradient each step, and existing trajectories must not move.
+  /// The scale starts at LossScaler::dynamic()'s default.
   bool dynamic_loss_scale = false;
-  float initial_loss_scale = 1024.0f;
   /// When > 0, dense rank 0 refreshes the expensive "train/..." gauges
   /// (grad_norm, tokens_per_s) every N optimizer steps and invokes
   /// metrics_sink (when set) with the global step index.  The sink runs
@@ -81,26 +81,13 @@ struct TrainerOptions {
   int metrics_every = 0;
   std::function<void(std::uint64_t global_step)> metrics_sink;
 
-  /// Overlapped bucketed gradient exchange: pack the dense gradients
-  /// into fixed-byte buckets in reverse-backprop order and launch each
-  /// bucket's allreduce on a per-rank comm thread the moment its last
-  /// parameter's backward completes; the embedding index allgather is
-  /// kicked off eagerly at step start.  Bitwise identical to the
-  /// synchronous path (fixed bucket boundaries, fixed ring schedules —
-  /// tests/test_async_exchange.cpp asserts `==`).  Off by default
-  /// because bucketing changes the per-rank collective schedule, which
-  /// would silently invalidate recorded fault-injection points
-  /// (FaultSpec::at_collective counts collectives) and per-collective
-  /// ledger expectations of existing configs.
-  bool overlapped_exchange = false;
-  std::size_t overlap_bucket_bytes = std::size_t{4} << 20;
   /// Per-step input-embedding strategy selection (core/strategy_select):
   /// price allgather-dense vs unique vs hierarchical-unique with the
   /// comm cost model and the previous step's measured U_g, switch with
-  /// hysteresis.  Replaces the static unique_exchange choice when on;
-  /// decisions are logged per rank (strategy_selector()).
+  /// the selector's default hysteresis.  Replaces the static
+  /// unique_exchange choice when on; decisions are logged per rank
+  /// (strategy_selector()).
   bool adaptive_exchange = false;
-  double strategy_hysteresis = 0.2;
   /// Row-shard the input embedding table across ranks (char LM only):
   /// rank r owns rows [r*V/G, (r+1)*V/G) plus their Adam moment slices,
   /// forward rows are pulled per step and gradient rows pushed to their
@@ -198,17 +185,16 @@ class DistributedTrainer {
   const ExchangeStrategySelector* strategy_selector(int rank) const;
 
  private:
-  /// Returns false when the overflow guard skipped the optimizer step.
-  /// `exchange` is the strategy for this step (adaptive selection);
-  /// `overlap_sync`/`pending` are the armed overlap state, or nullptr
-  /// for the synchronous path; `fmt_opts` overrides the dense sync's
-  /// wire options for this step (adaptive wire format), or nullptr.
+  /// Drains `dense_sync` (armed at step start), exchanges the sparse
+  /// embedding gradients through `exchange` (this step's strategy) from
+  /// the id gather `pending` started at step start, and steps the
+  /// optimizer.  Returns false when the overflow guard skipped the
+  /// optimizer step.
   bool sync_step(Communicator& comm, LmModel& model, Optimizer& opt,
                  MemoryPool& pool, LossScaler* scaler,
                  const LmStepResult& res, std::uint64_t* unique_out,
-                 EmbeddingExchange* exchange, DenseGradSync* overlap_sync,
-                 const PendingIdGather* pending,
-                 const ExchangeOptions* fmt_opts);
+                 EmbeddingExchange* exchange, DenseGradSync& dense_sync,
+                 const PendingIdGather& pending);
 
   EmbeddingExchange* exchange_for(ExchangeKind kind, WireFormat format);
 
@@ -231,8 +217,9 @@ class DistributedTrainer {
   /// Per-format dense-sync options (adaptive_wire_format only).
   std::array<ExchangeOptions, kWireFormatCount> format_opts_{};
   std::vector<std::unique_ptr<ExchangeStrategySelector>> selectors_;
-  DenseGradSync dense_sync_;
-  std::vector<DenseGradSync> dense_syncs_;  ///< per rank (overlap mode)
+  /// Per global rank: each owns the FP16 staging buffers its comm
+  /// thread packs into, so ranks never share state.
+  std::vector<DenseGradSync> dense_syncs_;
   std::optional<ControlledSampler> sampler_;
   std::vector<std::unique_ptr<LmModel>> models_;
   std::vector<std::unique_ptr<Optimizer>> optimizers_;

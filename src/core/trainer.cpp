@@ -85,7 +85,6 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
       exchange_ = std::make_unique<DenseExchange>(ex_opts);
     }
   }  // sharded exchange needs the model geometry; built after the loop.
-  dense_sync_ = DenseGradSync(ex_opts);
 
   const int g = world.total_ranks();
   models_.reserve(static_cast<std::size_t>(g));
@@ -110,7 +109,7 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
       // Per-rank scalers, not one shared: every rank sees the same
       // post-collective gradients, so the policies march in lockstep
       // without cross-thread state.
-      scalers_.push_back(LossScaler::dynamic(options_.initial_loss_scale));
+      scalers_.push_back(LossScaler::dynamic());
     }
   }
 
@@ -156,16 +155,7 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
                      options_.seed_policy, options_.seed);
   }
 
-  if (options_.overlapped_exchange) {
-    // One bucketed sync per global rank: each owns persistent staging
-    // buffers its comm thread packs into, so ranks never share state.
-    dense_syncs_.reserve(static_cast<std::size_t>(g));
-    for (int r = 0; r < g; ++r) {
-      DenseGradSync s(ex_opts);
-      s.set_bucket_bytes(options_.overlap_bucket_bytes);
-      dense_syncs_.push_back(std::move(s));
-    }
-  }
+  dense_syncs_.assign(static_cast<std::size_t>(g), DenseGradSync(ex_opts));
   if (options_.adaptive_exchange) {
     ExchangeOptions hier_opts = ex_opts;
     hier_opts.hierarchical_allreduce = true;
@@ -212,7 +202,6 @@ DistributedTrainer::DistributedTrainer(CommWorld& world,
     scfg.wire = options_.wire;
     scfg.tokens_per_rank =
         static_cast<std::uint64_t>(options_.batch.tokens_per_rank());
-    scfg.hysteresis = options_.strategy_hysteresis;
     scfg.initial = options_.unique_exchange ? ExchangeKind::Unique
                                             : ExchangeKind::DenseAllgather;
     scfg.adapt_format = options_.adaptive_wire_format;
@@ -283,9 +272,8 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
                                    const LmStepResult& res,
                                    std::uint64_t* unique_out,
                                    EmbeddingExchange* exchange,
-                                   DenseGradSync* overlap_sync,
-                                   const PendingIdGather* pending,
-                                   const ExchangeOptions* fmt_opts) {
+                                   DenseGradSync& dense_sync,
+                                   const PendingIdGather& pending) {
   const float inv_world = 1.0f / static_cast<float>(comm.world_size());
   const auto dense = model.dense_params();
 
@@ -297,19 +285,14 @@ bool DistributedTrainer::sync_step(Communicator& comm, LmModel& model,
   {
     PhaseScope phase("exchange");
 
-    // Dense parameters: either drain the bucketed allreduces that have
-    // been in flight since backward (overlapped path), or run the
-    // classic synchronous per-parameter ALLREDUCE sweep.  finish() also
-    // flushes the eager id allgather riding the same engine.
-    if (overlap_sync != nullptr) {
-      overlap_sync->finish();
-    } else {
-      dense_sync_.sync(comm, dense, fmt_opts);
-    }
+    // Dense parameters: drain the bucketed allreduces that have been in
+    // flight since backward.  finish() also flushes the eager id
+    // allgather riding the same engine.
+    dense_sync.finish();
 
     // Input embedding: the exchange under test.
     exchange->exchange(comm, res.input_ids, res.input_delta, uids, urows,
-                       &pool, pending);
+                       &pool, &pending);
     scale(urows, inv_world);
     if (unique_out != nullptr) *unique_out = uids.size();
 
@@ -385,17 +368,12 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
     LossScaler* scaler =
         scalers_.empty() ? nullptr : &scalers_[static_cast<std::size_t>(r)];
 
-    // Overlapped exchange: a per-rank comm thread plus this rank's
-    // bucketed sync.  The engine runs jobs inline when overlap is off.
-    AsyncCommEngine engine(comm, options_.overlapped_exchange);
-    DenseGradSync* dsync =
-        options_.overlapped_exchange
-            ? &dense_syncs_[static_cast<std::size_t>(r)]
-            : nullptr;
-    if (dsync != nullptr) {
-      model.set_backward_hook(
-          [dsync](const Param& p) { dsync->notify_ready(&p); });
-    }
+    // A per-rank comm thread plus this rank's bucketed sync: each
+    // bucket's allreduces launch as soon as backward finalizes it.
+    AsyncCommEngine engine(comm);
+    DenseGradSync& dsync = dense_syncs_[static_cast<std::size_t>(r)];
+    model.set_backward_hook(
+        [&dsync](const Param& p) { dsync.notify_ready(&p); });
     ExchangeStrategySelector* selector =
         selectors_.empty() ? nullptr
                            : selectors_[static_cast<std::size_t>(r)].get();
@@ -403,10 +381,10 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
     // epoch) so the model and sync never outlive this stack's engine.
     struct OverlapGuard {
       LmModel& model;
-      DenseGradSync* dsync;
+      DenseGradSync& dsync;
       ~OverlapGuard() {
         model.set_backward_hook(nullptr);
-        if (dsync != nullptr) dsync->disarm();
+        dsync.disarm();
       }
     } overlap_guard{model, dsync};
 
@@ -439,27 +417,23 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       // format, the gradient wire format) before any collective so
       // every rank runs the same wire schedule (selection is lockstep).
       EmbeddingExchange* ex = exchange_.get();
-      const ExchangeOptions* fmt_opts = nullptr;
       if (selector != nullptr) {
         const ExchangeKind kind = selector->choose();
         const WireFormat fmt = selector->current_format();
         ex = exchange_for(kind, fmt);
         if (options_.adaptive_wire_format) {
-          fmt_opts = &format_opts_[static_cast<std::size_t>(fmt)];
-          if (dsync != nullptr) dsync->set_wire_options(*fmt_opts);
+          dsync.set_wire_options(format_opts_[static_cast<std::size_t>(fmt)]);
         }
       }
+      dsync.begin_step(comm, engine, model.dense_params());
+      // The token ids are known now — start the Θ(G·K) id allgather
+      // under forward+backward.
       PendingIdGather pending;
-      if (dsync != nullptr) {
-        dsync->begin_step(comm, engine, model.dense_params());
-        // The token ids are known now — start the Θ(G·K) id allgather
-        // under forward+backward.
-        begin_id_gather(engine, batch.inputs, pending, options_.index_codec);
-      }
+      begin_id_gather(engine, batch.inputs, pending, options_.index_codec);
       model.train_step_local(batch, candidates, res);
       std::uint64_t ug = 0;
       if (!sync_step(comm, model, opt, pool, scaler, res, &ug, ex, dsync,
-                     dsync != nullptr ? &pending : nullptr, fmt_opts)) {
+                     pending)) {
         ++rank_skipped[static_cast<std::size_t>(dr)];
         tm.skipped_steps.add(1);
         ZIPFLM_TRACE_INSTANT("overflow_skip");
@@ -511,14 +485,14 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       }
     }
     rank_steps[static_cast<std::size_t>(dr)] = local_step;
-    if (dsync != nullptr && dr == 0) {
+    if (dr == 0) {
       // How much of the comm thread's busy time actually hid under
       // compute (1.0 = fully hidden, 0.0 = all of it waited in flush).
       auto& reg = obs::MetricsRegistry::global();
       reg.gauge("comm/overlap_efficiency")
           .set(AsyncCommEngine::overlap_efficiency(engine.stats()));
       reg.gauge("comm/overlap_buckets")
-          .set(static_cast<double>(dsync->plan_buckets()));
+          .set(static_cast<double>(dsync.plan_buckets()));
     }
   });
 
@@ -555,8 +529,7 @@ EpochStats DistributedTrainer::run_epoch(std::span<const Index> train_ids,
       models_.front()->flops_per_token();
   stats.sim_compute_seconds =
       static_cast<double>(stats.steps) *
-      options_.device.seconds_for_flops(flops_per_step,
-                                        options_.compute_efficiency);
+      options_.device.seconds_for_flops(flops_per_step);
   stats.sim_total_seconds = stats.sim_compute_seconds + stats.sim_comm_seconds;
   ++epochs_completed_;
   return stats;

@@ -220,6 +220,40 @@ TEST_P(CommFaults, CorruptPayloadPoisonsEveryRankIdentically) {
   // The ring reduction spreads the poison to both ranks in full.
   EXPECT_EQ(nan_ranks.load(), 2);
   EXPECT_TRUE(world.failed_ranks().empty());
+
+  // Only a float payload can carry a NaN: a Corrupt that lands on an
+  // allgatherv of ids (or on a barrier) leaves that collective intact
+  // and poisons the rank's next floating-point allreduce instead.
+  for (const bool ids_first : {true, false}) {
+    CommWorld w(2, world_options());
+    w.inject_faults(plan);
+    std::atomic<int> intact_ranks{0};
+    std::atomic<int> poisoned_ranks{0};
+    w.run([&](Communicator& comm) {
+      WireCodecScope codec_scope(comm, codec());
+      if (ids_first) {
+        // Rank r contributes r + 1 ids, so the blocks differ in size.
+        std::vector<Index> mine;
+        for (int i = 0; i <= comm.rank(); ++i) {
+          mine.push_back(static_cast<Index>(10 * comm.rank() + i));
+        }
+        std::vector<Index> all;
+        comm.allgatherv(std::span<const Index>(mine), all);
+        if (all == std::vector<Index>{0, 10, 11}) intact_ranks.fetch_add(1);
+      } else {
+        comm.barrier();
+        intact_ranks.fetch_add(1);
+      }
+      std::vector<float> buf(8, 1.0f);
+      comm.allreduce_sum(std::span<float>(buf));
+      bool all_nan = true;
+      for (const float v : buf) all_nan = all_nan && std::isnan(v);
+      if (all_nan) poisoned_ranks.fetch_add(1);
+    });
+    EXPECT_EQ(intact_ranks.load(), 2) << (ids_first ? "allgatherv" : "barrier");
+    EXPECT_EQ(poisoned_ranks.load(), 2)
+        << (ids_first ? "allgatherv" : "barrier");
+  }
 }
 
 TEST_P(CommFaults, RejectsOutOfRangeFaultRank) {
@@ -240,8 +274,9 @@ TEST_P(CommFaults, TrainerSkipsCorruptedStepUniformly) {
   opt.dynamic_loss_scale = true;  // arms the overflow guard
   DistributedTrainer trainer(world, char_factory(vocab), opt);
 
-  // Collective 0 of the epoch is the first step's dense-gradient
-  // allreduce: the poisoned payload reduces to NaN on both ranks, so
+  // Corrupt poisons the first dense-gradient allreduce at or after
+  // collective 0 (collective 0 itself is the first step's eager id
+  // allgather): the poisoned payload reduces to NaN on both ranks, so
   // both skip the same optimizer step and the replicas never diverge.
   FaultPlan plan;
   plan.events.push_back({.rank = 1, .kind = FaultKind::Corrupt,

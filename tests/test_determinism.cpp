@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "collective_reference.hpp"
 #include "zipflm/comm/thread_comm.hpp"
 #include "zipflm/core/exchange.hpp"
 #include "zipflm/core/grad_sync.hpp"
@@ -337,9 +338,13 @@ TEST(ElementwiseDeterminism, ActivationBytesStable) {
 //
 // The overlap contract: bucket boundaries and launch timing must never
 // change a single reduced byte.  Run the same per-rank gradients through
-// the legacy sync() and through the bucketed engine path at several
-// bucket sizes (many tiny buckets / one huge bucket), threaded and
-// inline, and require byte-identical averaged gradients.
+// the bucketed engine path at several bucket sizes (many tiny buckets /
+// one huge bucket), threaded and inline, on every backend and world
+// size, and require every rank's averaged gradients to equal a serial
+// reference of the ring fold (collective_reference.hpp), per parameter:
+//  * FP32: allreduce_sum, then x 1/g;
+//  * FP16: compress_fp16, the Half fold, decompress_fp16, then x 1/g.
+// A single rank's gradients pass through untouched.
 
 namespace {
 
@@ -372,54 +377,94 @@ std::vector<unsigned char> grad_bytes(const std::vector<Param>& params) {
   return out;
 }
 
+constexpr float kSyncScale = 64.0f;
+
+/// What every rank holds after the bucketed sync of
+/// make_test_params(0..g-1), computed on one thread.
+std::vector<unsigned char> reference_sync_bytes(int g, WirePrecision wire) {
+  namespace ref = collective_reference;
+  std::vector<std::vector<Param>> ranks;
+  for (int r = 0; r < g; ++r) ranks.push_back(make_test_params(r));
+  const float inv_world = 1.0f / static_cast<float>(g);
+  std::vector<unsigned char> out;
+  for (std::size_t i = 0; i < ranks.front().size(); ++i) {
+    const auto grad = [&](int r) {
+      return ranks[static_cast<std::size_t>(r)][i].grad.data();
+    };
+    std::vector<float> avg(grad(0).begin(), grad(0).end());
+    if (g > 1) {
+      if (wire == WirePrecision::FP32) {
+        ref::PerRank<float> x;
+        for (int r = 0; r < g; ++r) {
+          x.emplace_back(grad(r).begin(), grad(r).end());
+        }
+        avg = ref::allreduce_sum(x);
+      } else {
+        ref::PerRank<Half> x(static_cast<std::size_t>(g));
+        for (int r = 0; r < g; ++r) {
+          compress_fp16(grad(r), kSyncScale, x[static_cast<std::size_t>(r)]);
+        }
+        decompress_fp16(ref::allreduce_sum(x), kSyncScale, avg);
+      }
+      for (float& v : avg) v *= inv_world;
+    }
+    append_bytes(out, avg.data(), avg.size() * sizeof(float));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(GradSyncDeterminism, BucketingNeverChangesReducedBytes) {
-  for (const WirePrecision wire : {WirePrecision::FP32, WirePrecision::FP16}) {
-    // mode: {bucket_bytes, force_thread}; bucket 0 = legacy sync().
-    struct Mode {
-      std::size_t bucket_bytes;
-      bool threaded;
-    };
-    const std::vector<Mode> modes = {
-        {0, false},       // sync(): the bitwise reference
-        {256, false},     // many tiny buckets, inline engine
-        {256, true},      // many tiny buckets, comm thread
-        {1 << 20, true},  // everything in one bucket, comm thread
-    };
-    std::vector<std::vector<unsigned char>> results(modes.size());
+  struct Mode {
+    std::size_t bucket_bytes;
+    bool threaded;
+  };
+  const std::vector<Mode> modes = {
+      {256, false},     // many tiny buckets, inline engine
+      {256, true},      // many tiny buckets, comm thread
+      {1 << 20, true},  // everything in one bucket, comm thread
+  };
+  for (const CommBackend backend :
+       {CommBackend::InProcNet, CommBackend::Socket}) {
+    for (int g = 1; g <= 4; ++g) {
+      CommWorld::Options wopt;
+      wopt.backend = backend;
+      CommWorld world(g, wopt);
+      for (const WirePrecision wire :
+           {WirePrecision::FP32, WirePrecision::FP16}) {
+        const std::vector<unsigned char> want = reference_sync_bytes(g, wire);
+        for (std::size_t m = 0; m < modes.size(); ++m) {
+          std::vector<std::vector<unsigned char>> got(
+              static_cast<std::size_t>(g));
+          world.run([&](Communicator& comm) {
+            std::vector<Param> params = make_test_params(comm.rank());
+            std::vector<Param*> ptrs;
+            for (Param& p : params) ptrs.push_back(&p);
 
-    CommWorld world(4);
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-      world.run([&](Communicator& comm) {
-        std::vector<Param> params = make_test_params(comm.rank());
-        std::vector<Param*> ptrs;
-        for (Param& p : params) ptrs.push_back(&p);
-
-        DenseGradSync sync(ExchangeOptions{wire, 64.0f, false});
-        if (modes[m].bucket_bytes == 0) {
-          sync.sync(comm, ptrs);
-        } else {
-          AsyncCommEngine engine(comm, /*overlap=*/true,
-                                 modes[m].threaded);
-          sync.set_bucket_bytes(modes[m].bucket_bytes);
-          sync.begin_step(comm, engine, ptrs);
-          // Notify in an arbitrary interleaving — completion order must
-          // not matter, only the plan order inside each bucket.
-          for (std::size_t i = params.size(); i-- > 0;) {
-            sync.notify_ready(ptrs[i]);
+            DenseGradSync sync(ExchangeOptions{wire, kSyncScale, false});
+            AsyncCommEngine engine(comm, /*overlap=*/true, modes[m].threaded);
+            sync.set_bucket_bytes(modes[m].bucket_bytes);
+            sync.begin_step(comm, engine, ptrs);
+            // Notify in an arbitrary interleaving — completion order must
+            // not matter, only the plan order inside each bucket.
+            for (std::size_t i = params.size(); i-- > 0;) {
+              sync.notify_ready(ptrs[i]);
+            }
+            sync.finish();
+            got[static_cast<std::size_t>(comm.rank())] = grad_bytes(params);
+          });
+          for (int r = 0; r < g; ++r) {
+            const auto& bytes = got[static_cast<std::size_t>(r)];
+            ASSERT_EQ(bytes.size(), want.size());
+            EXPECT_EQ(0, std::memcmp(bytes.data(), want.data(), want.size()))
+                << (backend == CommBackend::Socket ? "socket" : "inproc")
+                << " g=" << g
+                << " wire=" << (wire == WirePrecision::FP16 ? "fp16" : "fp32")
+                << " mode " << m << " rank " << r
+                << " diverged from the serial reference";
           }
-          sync.finish();
         }
-        if (comm.rank() == 0) results[m] = grad_bytes(params);
-      });
-      ASSERT_FALSE(results[m].empty());
-      if (m > 0) {
-        ASSERT_EQ(results[m].size(), results[0].size());
-        EXPECT_EQ(0, std::memcmp(results[m].data(), results[0].data(),
-                                 results[0].size()))
-            << "wire=" << (wire == WirePrecision::FP16 ? "fp16" : "fp32")
-            << " mode " << m << " diverged from sync()";
       }
     }
   }

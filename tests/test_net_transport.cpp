@@ -11,7 +11,7 @@
 //    payload ledgers and nonzero measured wire bytes on both.
 //  * Trainer parity — a DistributedTrainer run over the socketpair mesh
 //    reproduces the in-memory mesh's losses and weights exactly, at G in
-//    {1, 4}, FP32/FP16 wire, and with the overlapped bucketed exchange.
+//    {1, 4} and FP32/FP16 wire.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -518,8 +518,7 @@ std::vector<unsigned char> model_bytes(DistributedTrainer& trainer) {
 
 /// Trains the same model on an in-memory mesh and a socketpair mesh;
 /// the socket run must land on the in-memory run's bits.
-void expect_socket_matches_inproc(int gpus, WirePrecision wire,
-                                  bool overlapped) {
+void expect_socket_matches_inproc(int gpus, WirePrecision wire) {
   const Index vocab = 50;
   const auto train = tiny_corpus(vocab, 2400, 7);
   const auto valid = tiny_corpus(vocab, 400, 8);
@@ -535,8 +534,6 @@ void expect_socket_matches_inproc(int gpus, WirePrecision wire,
     TrainerOptions opt = tiny_options();
     opt.samples_per_rank = 16;
     opt.wire = wire;
-    opt.overlapped_exchange = overlapped;
-    opt.overlap_bucket_bytes = 512;  // several buckets even at toy sizes
     DistributedTrainer trainer(world, tiny_word_factory(vocab), opt);
 
     EpochStats last{};
@@ -567,19 +564,15 @@ void expect_socket_matches_inproc(int gpus, WirePrecision wire,
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG1Fp32) {
-  expect_socket_matches_inproc(1, WirePrecision::FP32, false);
+  expect_socket_matches_inproc(1, WirePrecision::FP32);
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp32) {
-  expect_socket_matches_inproc(4, WirePrecision::FP32, false);
+  expect_socket_matches_inproc(4, WirePrecision::FP32);
 }
 
 TEST(TransportTrainer, MatchesThreadBitwiseG4Fp16) {
-  expect_socket_matches_inproc(4, WirePrecision::FP16, false);
-}
-
-TEST(TransportTrainer, OverlappedExchangeOnSocketMatchesThread) {
-  expect_socket_matches_inproc(4, WirePrecision::FP32, true);
+  expect_socket_matches_inproc(4, WirePrecision::FP16);
 }
 
 }  // namespace

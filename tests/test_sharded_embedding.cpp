@@ -343,7 +343,7 @@ std::vector<unsigned char> dense_bytes(DistributedTrainer& trainer) {
 }
 
 void expect_sharded_matches_replicated(int gpus, WireCodec codec,
-                                       bool index_codec, bool overlapped,
+                                       bool index_codec,
                                        std::initializer_list<CommBackend>
                                            backends) {
   const Index vocab = 50;
@@ -373,8 +373,6 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
     opt.shard_embedding = true;
     opt.wire_codec = codec;
     opt.index_codec = index_codec;
-    opt.overlapped_exchange = overlapped;
-    opt.overlap_bucket_bytes = 512;
     DistributedTrainer trainer(world, char_factory(vocab, gpus), opt);
 
     EpochStats last{};
@@ -396,27 +394,22 @@ void expect_sharded_matches_replicated(int gpus, WireCodec codec,
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG1AllBackends) {
   expect_sharded_matches_replicated(
-      1, WireCodec::None, false, false,
+      1, WireCodec::None, false,
       {CommBackend::InProcNet, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, MatchesReplicatedBitwiseG4AllBackends) {
   expect_sharded_matches_replicated(
-      4, WireCodec::None, false, false,
+      4, WireCodec::None, false,
       {CommBackend::InProcNet, CommBackend::Socket});
 }
 
 TEST(ShardedTrainer, PackedRowCodecStaysBitwise) {
   // Packed is lossless, so the coded sharded run still equals the raw
   // replicated oracle; the index legs ride the varint codec.
-  expect_sharded_matches_replicated(4, WireCodec::Packed, true, false,
+  expect_sharded_matches_replicated(4, WireCodec::Packed, true,
                                     {CommBackend::InProcNet,
                                      CommBackend::Socket});
-}
-
-TEST(ShardedTrainer, OverlappedExchangeStaysBitwise) {
-  expect_sharded_matches_replicated(4, WireCodec::None, false, true,
-                                    {CommBackend::InProcNet});
 }
 
 // -- Sharded checkpoints ----------------------------------------------
